@@ -491,8 +491,8 @@ mod tests {
         };
         let lowered = lower(&l).unwrap();
         let mut mem = vec![0u32; 32];
-        for i in 0..8 {
-            mem[i] = (i as u32) + 1;
+        for (i, word) in mem.iter_mut().take(8).enumerate() {
+            *word = (i as u32) + 1;
         }
         let out = simulate(&lowered, mem);
         let mut acc = 0;

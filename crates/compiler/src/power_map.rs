@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use uecgra_clock::VfMode;
 use uecgra_dfg::analysis::Grouping;
 use uecgra_dfg::{Dfg, NodeId};
-use uecgra_model::{EnergyDelay, EnergyDelayEstimator};
+use uecgra_model::{EnergyDelay, EnergyDelayEstimator, ModelParams};
 
 /// Whether the seed configuration maximizes performance (all-sprint,
 /// the paper's "POpt") or energy (all-nominal, "EOpt").
@@ -91,9 +91,36 @@ pub fn power_map_routed(
     objective: Objective,
     edge_extra_hops: &[u32],
 ) -> PowerMapping {
-    let estimator =
-        EnergyDelayEstimator::new(dfg, mem, marker).with_edge_latency(edge_extra_hops.to_vec());
-    let baseline = estimator.measure(&vec![VfMode::Nominal; dfg.node_count()]);
+    let estimator = greedy_estimator(dfg, mem, marker, edge_extra_hops);
+    power_map_with(dfg, objective, estimator.params(), &mut |modes| {
+        estimator.measure(modes)
+    })
+}
+
+/// The `MeasureEnergyDelay` estimator [`power_map_routed`] measures
+/// with: default parameters, the default measurement window, and the
+/// routed per-edge hops.
+pub fn greedy_estimator<'a>(
+    dfg: &'a Dfg,
+    mem: Vec<u32>,
+    marker: NodeId,
+    edge_extra_hops: &[u32],
+) -> EnergyDelayEstimator<'a> {
+    EnergyDelayEstimator::new(dfg, mem, marker).with_edge_latency(edge_extra_hops.to_vec())
+}
+
+/// Phases 1–2 of the power-mapping pass over an arbitrary
+/// `MeasureEnergyDelay`: `measure` evaluates one per-node assignment
+/// and `params` supplies the group ordering's energy weights. Callers
+/// that memoize measurements (the design-space explorer) pass a
+/// caching `measure`; [`power_map_routed`] passes the estimator.
+pub fn power_map_with(
+    dfg: &Dfg,
+    objective: Objective,
+    params: &ModelParams,
+    measure: &mut dyn FnMut(&[VfMode]) -> EnergyDelay,
+) -> PowerMapping {
+    let baseline = measure(&vec![VfMode::Nominal; dfg.node_count()]);
 
     // Phase 1: complexity reduction.
     let grouping = Grouping::chains(dfg);
@@ -109,7 +136,6 @@ pub fn power_map_routed(
     // Greedy order: largest potential energy savings first. A group's
     // potential is the relative energy of its ops (memory ops include
     // their SRAM subbank access).
-    let params = estimator.params().clone();
     let mut ordered = groups.clone();
     let group_power = |g: usize| -> f64 {
         grouping
@@ -152,7 +178,7 @@ pub fn power_map_routed(
 
     let seed = objective.seed();
     let mut group_modes: Vec<VfMode> = vec![seed; grouping.len()];
-    let mut best = estimator.measure(&expand(&group_modes));
+    let mut best = measure(&expand(&group_modes));
 
     for &g in &ordered {
         let original = group_modes[g];
@@ -162,7 +188,7 @@ pub fn power_map_routed(
                 break; // nominal seed: trying nominal again is a no-op
             }
             group_modes[g] = candidate;
-            let measured = estimator.measure(&expand(&group_modes));
+            let measured = measure(&expand(&group_modes));
             if measured.edp_gain_over(&best) >= 1.0 {
                 best = measured;
                 accepted = true;

@@ -115,6 +115,11 @@ impl<'a> EnergyDelayEstimator<'a> {
         self.power.params()
     }
 
+    /// The measurement window (iterations simulated).
+    pub fn iterations(&self) -> u64 {
+        self.iterations
+    }
+
     /// Simulate `modes` and return its raw simulation result.
     pub fn simulate(&self, modes: &[VfMode]) -> SimResult {
         let config = SimConfig {

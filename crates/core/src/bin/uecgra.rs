@@ -39,7 +39,7 @@
 use std::process::ExitCode;
 use uecgra_core::cli::{parse_args, usage, CliArgs};
 use uecgra_core::error::{error_chain, Error};
-use uecgra_core::pipeline::{CgraRun, Policy};
+use uecgra_core::pipeline::{check_stop, CgraRun, Policy};
 use uecgra_core::report::run_report;
 use uecgra_probe::{Phase, ProbeSink as _, RunReport, SchemaError, TimingSink};
 use uecgra_rtl::fabric::{Fabric, FabricConfig};
@@ -347,6 +347,7 @@ fn real_main() -> Result<(), CliError> {
         activity.steady_ii(4).unwrap_or(f64::NAN),
         activity.stop
     );
+    check_stop(&activity)?;
 
     let iterations = activity.iterations();
     let run = CgraRun {

@@ -327,16 +327,7 @@ impl<'a> RunRequest<'a> {
         let activity = timed(&mut sink, Phase::Simulate, || {
             Fabric::new(&bitstream, kernel.mem.clone(), config).run_with(engine)
         });
-        if activity.stop == FabricStop::ProtocolViolation {
-            let v = *activity
-                .protocol
-                .first_fatal()
-                .expect("a protocol stop carries its fatal violation");
-            return Err(Error::Protocol(v));
-        }
-        if activity.stop == FabricStop::TickLimit {
-            return Err(Error::DidNotTerminate);
-        }
+        check_stop(&activity)?;
         // No-progress watchdog: a quiesced fabric that delivered fewer
         // marker fires than the kernel's iteration target has live- or
         // deadlocked (under faults this is the expected failure mode of
@@ -358,6 +349,27 @@ impl<'a> RunRequest<'a> {
             activity,
             iterations: kernel.iters as u64,
         })
+    }
+}
+
+/// The pipeline's verdict on how a fabric run stopped: a fatal
+/// elastic-protocol violation is [`Error::Protocol`], hitting the tick
+/// limit is [`Error::DidNotTerminate`], and any other stop is a
+/// finished run. Every front door that runs the fabric applies it.
+///
+/// # Errors
+///
+/// As above.
+pub fn check_stop(activity: &Activity) -> Result<(), Error> {
+    match activity.stop {
+        FabricStop::ProtocolViolation => Err(Error::Protocol(
+            *activity
+                .protocol
+                .first_fatal()
+                .expect("a protocol stop carries its fatal violation"),
+        )),
+        FabricStop::TickLimit => Err(Error::DidNotTerminate),
+        FabricStop::MarkerDone | FabricStop::Quiesced => Ok(()),
     }
 }
 
@@ -463,6 +475,22 @@ mod tests {
             );
             assert!(run.ii() > 0.0);
         }
+    }
+
+    #[test]
+    fn tick_limit_stops_do_not_terminate() {
+        let k = kernels::llist::build_with_hops(40);
+        let mapped = MappedKernel::map(&k.dfg, ArrayShape::default(), 7).unwrap();
+        let modes = vec![VfMode::Nominal; k.dfg.node_count()];
+        let bitstream = Bitstream::assemble(&k.dfg, &mapped, &modes).unwrap();
+        let config = FabricConfig {
+            marker: Some(mapped.coord_of(k.iter_marker)),
+            max_ticks: 60,
+            ..FabricConfig::default()
+        };
+        let activity = Fabric::new(&bitstream, k.mem.clone(), config).run_with(Engine::EventDriven);
+        assert_eq!(activity.stop, FabricStop::TickLimit);
+        assert_eq!(check_stop(&activity), Err(Error::DidNotTerminate));
     }
 
     #[test]

@@ -48,6 +48,34 @@ fn run_command_executes_and_dumps_memory() {
 }
 
 #[test]
+fn run_command_fails_on_a_protocol_violation() {
+    // `src[i * 1000]` loads past the end of memory: the protocol
+    // checker stops the fabric, and the run must fail, not exit 0.
+    let src = write_source(
+        "uecgra_cli_oob.loop",
+        "
+        array src @ 16;
+        array dst @ 128;
+        for i in 0..32 carry (acc = 0) {
+            acc = acc + src[i * 1000];
+            dst[i] = acc;
+        }
+    ",
+    );
+    let out = Command::new(bin())
+        .args(["run", src.to_str().unwrap(), "--policy", "e"])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success(), "out-of-bounds loop exited 0");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("elastic-protocol invariant violated"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("caused by: protocol violation"), "{stderr}");
+}
+
+#[test]
 fn compile_command_prints_the_mapping() {
     let src = write_source("uecgra_cli_compile.loop", ACCUMULATE);
     let out = Command::new(bin())

@@ -7,7 +7,6 @@
 //! tokens on phi nodes.
 
 use crate::op::Op;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -468,14 +467,16 @@ impl Dfg {
             }
         }
         for (id, node) in self.nodes() {
-            let mut seen: HashMap<u8, usize> = HashMap::new();
+            // Every port is below `arity().max(1)` <= 2 by now.
+            let mut seen = [0u32; 2];
             for (_, e) in self.inputs(id) {
-                *seen.entry(e.dst_port).or_insert(0) += 1;
+                seen[e.dst_port as usize] += 1;
             }
-            for (&port, &count) in &seen {
-                if count > 1 {
-                    return Err(GraphError::InputConflict { node: id, port });
-                }
+            if let Some(port) = seen.iter().position(|&count| count > 1) {
+                return Err(GraphError::InputConflict {
+                    node: id,
+                    port: port as u8,
+                });
             }
             if node.init.is_some() && node.op != Op::Phi {
                 return Err(GraphError::InitOnNonPhi(id));
@@ -485,13 +486,13 @@ impl Dfg {
             }
             // Phi fires on either input, so a single driven port suffices.
             if node.op.fires_on_any_input() {
-                if seen.is_empty() && node.constant.is_none() {
+                if seen == [0, 0] && node.constant.is_none() {
                     return Err(GraphError::MissingInput { node: id, port: 0 });
                 }
                 continue;
             }
             for port in 0..node.op.arity() as u8 {
-                if !seen.contains_key(&port) && node.constant.is_none() {
+                if seen[port as usize] == 0 && node.constant.is_none() {
                     return Err(GraphError::MissingInput { node: id, port });
                 }
             }
@@ -596,6 +597,22 @@ mod tests {
             g.validate(),
             Err(GraphError::InputConflict { .. })
         ));
+    }
+
+    #[test]
+    fn input_conflict_reports_the_lowest_port() {
+        let mut g = Dfg::new();
+        let a = g.add_node(Op::Source, "a").id();
+        let b = g.add_node(Op::Source, "b").id();
+        let c = g.add_node(Op::Add, "c").id();
+        for port in [1, 0] {
+            g.connect_ports(a, 0, c, port);
+            g.connect_ports(b, 0, c, port);
+        }
+        assert_eq!(
+            g.validate(),
+            Err(GraphError::InputConflict { node: c, port: 0 })
+        );
     }
 
     #[test]

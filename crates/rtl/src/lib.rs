@@ -60,7 +60,7 @@ pub mod scratchpad;
 pub mod trace;
 
 pub use checker::{ProtocolReport, ProtocolViolation, ViolationKind};
-pub use engine::Engine;
+pub use engine::{Engine, EngineCounters};
 pub use fabric::{Activity, Fabric, FabricConfig, FabricStop, SuppressorKind};
 pub use faults::{Fault, FaultKind, FaultPlan};
 pub use inelastic::InelasticSchedule;

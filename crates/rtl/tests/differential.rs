@@ -106,3 +106,28 @@ fn event_engine_functional_outputs_match_references() {
         );
     }
 }
+
+/// The event engine's point is doing less work: on every Table II
+/// kernel, under all-nominal and POpt clocks, it makes no more
+/// `decide` calls than the dense stepper, which makes one per rising
+/// edge of every non-gated PE.
+#[test]
+fn event_engine_decides_no_more_than_dense() {
+    for k in kernels::all_kernels() {
+        let nominal = vec![VfMode::Nominal; k.dfg.node_count()];
+        let pm = power_map(&k.dfg, k.mem.clone(), k.iter_marker, Objective::Performance);
+        for modes in [nominal, pm.node_modes] {
+            let (bs, config) = compiled(&k, &modes, 7);
+            let (act, work) = Fabric::new(&bs, k.mem.clone(), config).run_event_counted();
+            let dense: u64 = act.rising_edges.iter().flatten().sum();
+            assert!(work.decides > 0, "{}: nothing decided", k.name);
+            assert!(
+                work.decides <= dense,
+                "{}: event engine decided {} times, dense {dense}",
+                k.name,
+                work.decides
+            );
+            assert!(work.visited_ticks <= act.ticks, "{}", k.name);
+        }
+    }
+}

@@ -30,6 +30,9 @@ pub enum Error {
     Assemble(BitstreamError),
     /// Waveform dumping failed.
     Trace(TraceError),
+    /// The requested input-queue depth is zero; every queue needs at
+    /// least one entry.
+    QueueDepth(usize),
     /// The fabric hit its tick limit without completing.
     DidNotTerminate,
     /// The elastic-protocol checker detected a fatal invariant
@@ -73,6 +76,9 @@ impl std::fmt::Display for Error {
             Error::Clock(_) => write!(f, "invalid clock configuration"),
             Error::Assemble(_) => write!(f, "bitstream assembly failed"),
             Error::Trace(_) => write!(f, "waveform dump failed"),
+            Error::QueueDepth(d) => {
+                write!(f, "invalid queue depth {d}: queues need at least one entry")
+            }
             Error::DidNotTerminate => write!(f, "fabric execution did not terminate"),
             Error::Protocol(_) => write!(f, "elastic-protocol invariant violated"),
             Error::NoSteadyState { iterations } => write!(
@@ -99,6 +105,7 @@ impl std::error::Error for Error {
             Error::Clock(e) => Some(e),
             Error::Assemble(e) => Some(e),
             Error::Trace(e) => Some(e),
+            Error::QueueDepth(_) => None,
             Error::DidNotTerminate => None,
             Error::Protocol(v) => Some(v),
             Error::NoSteadyState { .. } => None,

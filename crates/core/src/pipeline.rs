@@ -192,7 +192,8 @@ impl<'a> RunRequest<'a> {
         self
     }
 
-    /// Input-queue capacity (default: 2, the paper's).
+    /// Input-queue capacity (default: 2, the paper's). Zero is
+    /// rejected by [`RunRequest::run`] with [`Error::QueueDepth`].
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
         self
@@ -250,8 +251,9 @@ impl<'a> RunRequest<'a> {
     /// # Errors
     ///
     /// Returns the pipeline [`Error`] of the first failing stage:
-    /// an invalid clock-divisor request, mapping, bitstream assembly
-    /// or validation, a fabric run that hits its tick limit, a fatal
+    /// an invalid clock-divisor request or queue depth, mapping,
+    /// bitstream assembly or validation, a fabric run that hits its
+    /// tick limit, a fatal
     /// elastic-protocol violation ([`Error::Protocol`]), or — with the
     /// watchdog armed — a run that quiesced short of its iteration
     /// target ([`Error::Stalled`]).
@@ -274,6 +276,9 @@ impl<'a> RunRequest<'a> {
             Some(d) => ClockSet::new(d)?,
             None => ClockSet::default(),
         };
+        if queue_depth == 0 {
+            return Err(Error::QueueDepth(queue_depth));
+        }
         let mapped = timed(&mut sink, Phase::PlaceRoute, || {
             MappedKernel::map(&kernel.dfg, ArrayShape::default(), seed)
         })?;

@@ -118,3 +118,21 @@ fn map_errors_chain_the_mapping_stage() {
     assert!(chain.starts_with("error: mapping failed"), "{chain}");
     assert!(chain.contains("caused by:"), "{chain}");
 }
+
+#[test]
+fn zero_queue_depth_fails_with_queue_depth_error() {
+    let s = synthetic::chain(4);
+    let k = kernel_of("chain4", s.dfg, s.iter_marker);
+    let err = RunRequest::new(&k)
+        .queue_depth(0)
+        .run()
+        .expect_err("a zero-entry queue must not run");
+    assert!(
+        matches!(err, Error::QueueDepth(0)),
+        "wrong variant: {err:?}"
+    );
+    assert_eq!(
+        error_chain(&err),
+        "error: invalid queue depth 0: queues need at least one entry"
+    );
+}

@@ -47,6 +47,12 @@ impl Dir {
         }
     }
 
+    /// The direction pointing back: a token sent toward `d` arrives in
+    /// the neighbor's queue facing `d.opposite()`.
+    pub const fn opposite(self) -> Dir {
+        Dir::ALL[(self as usize + 2) % 4]
+    }
+
     fn code(self) -> u32 {
         self as u32
     }
@@ -607,6 +613,15 @@ mod tests {
         assert_eq!(Dir::between((1, 1), (2, 1)), Dir::East);
         assert_eq!(Dir::between((1, 1), (1, 2)), Dir::South);
         assert_eq!(Dir::between((1, 1), (0, 1)), Dir::West);
+        for d in Dir::ALL {
+            let (x, y) = match d {
+                Dir::North => (1, 0),
+                Dir::East => (2, 1),
+                Dir::South => (1, 2),
+                Dir::West => (0, 1),
+            };
+            assert_eq!(Dir::between((x, y), (1, 1)), d.opposite());
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! memory disambiguation) and compares against the in-order core and
 //! the UE-CGRA POpt fabric.
 
-use uecgra_bench::{engine_arg, header, json_path, r2, write_reports};
+use uecgra_bench::{header, json_path, r2, write_reports};
 use uecgra_core::experiments::SEED;
 use uecgra_core::pipeline::{Policy, RunRequest};
 use uecgra_core::report::{metrics_report, run_report};
@@ -39,7 +39,6 @@ fn main() {
         let popt = RunRequest::new(&k)
             .policy(Policy::UePerfOpt)
             .seed(SEED)
-            .engine(engine_arg())
             .run()
             .expect("runs");
         let iters = k.iters as f64;

@@ -6,7 +6,7 @@
 //! physically-constrained mapping the paper leaves as future work).
 //! This binary quantifies what that buys.
 
-use uecgra_bench::{engine_arg, header, json_path, r2, write_reports};
+use uecgra_bench::{header, json_path, r2, write_reports};
 use uecgra_clock::VfMode;
 use uecgra_compiler::bitstream::Bitstream;
 use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
@@ -14,6 +14,7 @@ use uecgra_compiler::power_map::{power_map_routed, Objective};
 use uecgra_core::report::metrics_report;
 use uecgra_dfg::kernels;
 use uecgra_rtl::fabric::{Fabric, FabricConfig};
+use uecgra_rtl::Engine;
 
 fn measure(k: &uecgra_dfg::Kernel, modes: &[VfMode], mapped: &MappedKernel) -> f64 {
     let bs = Bitstream::assemble(&k.dfg, mapped, modes).expect("assembles");
@@ -21,7 +22,7 @@ fn measure(k: &uecgra_dfg::Kernel, modes: &[VfMode], mapped: &MappedKernel) -> f
         marker: Some(mapped.coord_of(k.iter_marker)),
         ..FabricConfig::default()
     };
-    let act = Fabric::new(&bs, k.mem.clone(), config).run_with(engine_arg());
+    let act = Fabric::new(&bs, k.mem.clone(), config).run_with(Engine::default());
     act.steady_ii(8).expect("steady state")
 }
 

@@ -6,7 +6,7 @@
 //! sprints. The elasticity-aware suppressor lets aged tokens cross on
 //! unsafe edges, keeping mixed-clock mappings at full throughput.
 
-use uecgra_bench::{engine_arg, header, json_path, write_reports};
+use uecgra_bench::{header, json_path, write_reports};
 use uecgra_clock::VfMode;
 use uecgra_compiler::bitstream::Bitstream;
 use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
@@ -14,6 +14,7 @@ use uecgra_compiler::power_map::{power_map, Objective};
 use uecgra_core::report::metrics_report;
 use uecgra_dfg::kernels;
 use uecgra_rtl::fabric::{Fabric, FabricConfig, SuppressorKind};
+use uecgra_rtl::Engine;
 
 fn main() {
     header("Ablation: suppressor flavor vs throughput (iterations completed)");
@@ -38,7 +39,7 @@ fn main() {
                 ..FabricConfig::default()
             };
             Fabric::new(&bs, k.mem.clone(), config)
-                .run_with(engine_arg())
+                .run_with(Engine::default())
                 .iterations()
         };
         let sprints = pm

@@ -10,15 +10,12 @@
 //! throughput and utilization.
 
 use uecgra_bench::{header, json_path, write_reports};
-use uecgra_clock::VfMode;
-use uecgra_compiler::bitstream::Bitstream;
 use uecgra_compiler::frontend::lower;
-use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
 use uecgra_compiler::parse::parse;
+use uecgra_core::pipeline::RunRequest;
 use uecgra_core::report::metrics_report;
 use uecgra_dfg::kernels::dither;
 use uecgra_dfg::transform::merge;
-use uecgra_rtl::fabric::{Fabric, FabricConfig};
 
 const N: usize = 200;
 
@@ -49,11 +46,11 @@ fn main() {
     mem.extend(k.mem.iter().copied());
 
     // Single instance baseline.
-    let single = run(&k.dfg, k.iter_marker, k.mem.clone());
+    let single = run(&k.dfg, k.iter_marker, &k.mem);
     // Merged pair.
     let (pair, maps) = merge(&[&k.dfg, &inst2.dfg]);
     let marker = maps[0][k.iter_marker.index()];
-    let both = run(&pair, marker, mem);
+    let both = run(&pair, marker, &mem);
 
     println!(
         "{:<18} {:>12} {:>12} {:>14}",
@@ -93,14 +90,9 @@ fn main() {
     }
 }
 
-fn run(dfg: &uecgra_dfg::Dfg, marker: uecgra_dfg::NodeId, mem: Vec<u32>) -> (f64, f64) {
-    let mapped = MappedKernel::map(dfg, ArrayShape::default(), 7).expect("fits");
-    let modes = vec![VfMode::Nominal; dfg.node_count()];
-    let bs = Bitstream::assemble(dfg, &mapped, &modes).expect("assembles");
-    let config = FabricConfig {
-        marker: Some(mapped.coord_of(marker)),
-        ..FabricConfig::default()
-    };
-    let act = Fabric::new(&bs, mem, config).run_with(uecgra_bench::engine_arg());
-    (act.steady_ii(8).expect("steady"), mapped.utilization())
+fn run(dfg: &uecgra_dfg::Dfg, marker: uecgra_dfg::NodeId, mem: &[u32]) -> (f64, f64) {
+    let out = RunRequest::from_dfg(dfg, marker, mem)
+        .run()
+        .expect("compiles and runs");
+    (out.ii(), out.mapped.utilization())
 }

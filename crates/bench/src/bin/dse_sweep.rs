@@ -13,12 +13,8 @@
 //! Flags:
 //!
 //! * `--json <path>` — write one schema-v3 report per kernel (dse
-//!   section only; no timings, no engine tag, so the bytes are
-//!   identical at any `UECGRA_THREADS` and across cold/warm caches).
-//! * `--engine dense|event` — accepted for `reproduce_all` harness
-//!   compatibility and ignored: the explorer is analytical, so the
-//!   report has no engine dependence (the harness's cross-engine
-//!   byte-compare then passes trivially, which is the point).
+//!   section only; no timings, so the bytes are identical at any
+//!   `UECGRA_THREADS` and across cold/warm caches).
 //! * `--cache <path>` — persistent evaluation cache (loaded if
 //!   present, saved back after the sweep).
 //! * `--budget <N>` — unique-evaluation budget per kernel.
@@ -57,8 +53,8 @@ fn flags() -> Flags {
                 assert!(f.budget > 0, "--budget must be at least 1");
             }
             "--rtl-check" => f.rtl_check = true,
-            // --json/--engine are read by the shared helpers.
-            "--json" | "--engine" => {
+            // --json is read by the shared helper.
+            "--json" => {
                 argv.next();
             }
             other => panic!("unknown flag {other:?}"),

@@ -1,8 +1,8 @@
 //! Seeded fault-injection campaign over the Table II kernels.
 //!
 //! ```text
-//! fault_campaign [--seed N] [--per-kernel N] [--engine dense|event]
-//!                [--disable-faults] [--full] [--json out.json]
+//! fault_campaign [--seed N] [--per-kernel N] [--disable-faults] [--full]
+//!                [--json out.json]
 //! ```
 //!
 //! Injects `--per-kernel` deterministic faults (rotating through all
@@ -15,7 +15,6 @@
 
 use uecgra_bench::campaign::{campaign_report, gate_passes, run_campaign, CampaignConfig};
 use uecgra_bench::{header, quick_kernels, write_reports};
-use uecgra_core::pipeline::Engine;
 
 fn parse_flags() -> (CampaignConfig, bool, Option<String>) {
     let mut config = CampaignConfig::default();
@@ -31,11 +30,6 @@ fn parse_flags() -> (CampaignConfig, bool, Option<String>) {
             "--seed" => config.seed = value().parse().expect("--seed: not an integer"),
             "--per-kernel" => {
                 config.per_kernel = value().parse().expect("--per-kernel: not an integer")
-            }
-            "--engine" => {
-                let v = value();
-                config.engine = Engine::parse(&v)
-                    .unwrap_or_else(|| panic!("unknown engine {v} (use dense|event)"));
             }
             "--disable-faults" => config.faults_enabled = false,
             "--full" => full = true,

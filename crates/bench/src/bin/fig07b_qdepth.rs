@@ -8,6 +8,7 @@ use uecgra_core::report::metrics_report;
 use uecgra_dfg::kernels::synthetic;
 use uecgra_model::{DfgSimulator, SimConfig};
 use uecgra_rtl::fabric::{Fabric, FabricConfig};
+use uecgra_rtl::Engine;
 
 fn throughput(n_or_chain: Option<usize>, depth: usize) -> f64 {
     let s = match n_or_chain {
@@ -73,7 +74,7 @@ fn main() {
                 queue_capacity: d,
                 ..FabricConfig::default()
             };
-            let act = Fabric::new(&bs, vec![], config).run_with(uecgra_bench::engine_arg());
+            let act = Fabric::new(&bs, vec![], config).run_with(Engine::default());
             let ii = act.steady_ii(20).expect("steady state");
             metrics.push((format!("rtl_cycle-{n}_depth{d}_throughput"), 1.0 / ii));
             print!(" {:>8.3}", 1.0 / ii);

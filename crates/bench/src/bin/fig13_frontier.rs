@@ -1,8 +1,8 @@
 //! Figure 13: normalized energy efficiency vs performance — global
 //! E-CGRA VF scaling against fine-grain UE-CGRA mappings.
 
-use uecgra_bench::{engine_arg, header, json_path, kernel_run_reports, r2, write_reports};
-use uecgra_core::experiments::{figure13, run_all_policies_with, SEED};
+use uecgra_bench::{header, json_path, kernel_run_reports, r2, write_reports};
+use uecgra_core::experiments::{figure13, run_all_policies, SEED};
 use uecgra_core::report::metrics_report;
 use uecgra_dfg::kernels;
 
@@ -13,7 +13,7 @@ fn main() {
         kernels::llist::build_with_hops(400),
         kernels::dither::build_with_pixels(400),
     ] {
-        let runs = run_all_policies_with(&k, SEED, engine_arg()).expect("kernel runs");
+        let runs = run_all_policies(&k, SEED).expect("kernel runs");
         println!("\n{}:", k.name);
         println!("  {:<10} {:>6} {:>6}", "config", "perf", "eff");
         let mut metrics = Vec::new();

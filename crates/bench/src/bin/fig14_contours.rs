@@ -2,9 +2,9 @@
 //! E-CGRA and both UE-CGRA mappings, rendered as ASCII heat maps with
 //! DVFS-mode glyphs.
 
-use uecgra_bench::{engine_arg, header, json_path, kernel_run_reports, write_reports};
+use uecgra_bench::{header, json_path, kernel_run_reports, write_reports};
 use uecgra_clock::VfMode;
-use uecgra_core::experiments::{energy_contour, run_all_policies_many_with, SEED};
+use uecgra_core::experiments::{energy_contour, run_all_policies_many, SEED};
 use uecgra_core::pipeline::CgraRun;
 use uecgra_core::report::metrics_report;
 use uecgra_dfg::kernels;
@@ -56,7 +56,7 @@ fn main() {
         kernels::llist::build_with_hops(400),
         kernels::dither::build_with_pixels(400),
     ];
-    let all = run_all_policies_many_with(&ks, SEED, engine_arg()).expect("kernels run");
+    let all = run_all_policies_many(&ks, SEED).expect("kernels run");
     for runs in &all {
         println!("\n=== {} ===", runs.kernel.name);
         print_contour(&runs.e, "E-CGRA");

@@ -46,10 +46,10 @@ use uecgra_compiler::bitstream::Bitstream;
 use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
 use uecgra_compiler::power_map::{power_map, Objective};
 use uecgra_core::experiments::{run_all_policies_many, KernelRuns, SEED};
-use uecgra_core::pipeline::Engine;
 use uecgra_dfg::kernels::{self, synthetic};
 use uecgra_model::sweep::{sweep_group_modes, SweepResult};
 use uecgra_rtl::fabric::{Fabric, FabricConfig};
+use uecgra_rtl::Engine;
 
 fn fig3_sweep() -> SweepResult {
     let cs = synthetic::fig3_case_study();

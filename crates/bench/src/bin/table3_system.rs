@@ -1,10 +1,8 @@
 //! Table III: performance and energy efficiency of the integrated
 //! processor+CGRA system relative to the RV32IM core.
 
-use uecgra_bench::{
-    engine_arg, evaluation_kernels, header, json_path, kernel_run_reports, r2, write_reports,
-};
-use uecgra_core::experiments::{run_all_policies_many_with, table3_row, SEED};
+use uecgra_bench::{evaluation_kernels, header, json_path, kernel_run_reports, r2, write_reports};
+use uecgra_core::experiments::{run_all_policies_many, table3_row, SEED};
 use uecgra_core::pipeline::Policy;
 use uecgra_core::report::metrics_report;
 
@@ -27,8 +25,7 @@ fn main() {
     // All kernel × policy pipeline runs fan out across threads; the
     // per-row core simulations then fan out per kernel. Printing stays
     // on the main thread in kernel order.
-    let all =
-        run_all_policies_many_with(&evaluation_kernels(), SEED, engine_arg()).expect("kernels run");
+    let all = run_all_policies_many(&evaluation_kernels(), SEED).expect("kernels run");
     let rows = uecgra_core::par::par_map(&all, table3_row);
     for row in &rows {
         let find = |p: Policy| {

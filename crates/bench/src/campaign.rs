@@ -26,7 +26,7 @@
 //! [`uecgra_util::par_tabulate`]).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use uecgra_core::pipeline::{Engine, Policy, RunRequest};
+use uecgra_core::pipeline::{Policy, RunRequest};
 use uecgra_core::Error;
 use uecgra_dfg::Kernel;
 use uecgra_probe::{CampaignEntry, CampaignSection, RunReport};
@@ -39,8 +39,6 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Faults injected per kernel.
     pub per_kernel: usize,
-    /// Simulation engine.
-    pub engine: Engine,
     /// When false, run the control leg: checker on, injector off.
     pub faults_enabled: bool,
 }
@@ -50,7 +48,6 @@ impl Default for CampaignConfig {
         CampaignConfig {
             seed: 0xC0FFEE,
             per_kernel: 12,
-            engine: Engine::default(),
             faults_enabled: true,
         }
     }
@@ -65,30 +62,37 @@ fn mix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One specimen: a kernel index plus the fault to inject (None for the
-/// control leg).
-struct Specimen<'a> {
-    kernel: &'a Kernel,
-    baseline_mem: &'a [u32],
-    fault: Option<Fault>,
+/// One specimen: a kernel, the memory image of its fault-free
+/// baseline run, and the fault to inject (`None` on the control leg).
+pub struct Specimen<'a> {
+    /// The kernel to run.
+    pub kernel: &'a Kernel,
+    /// The final memory of the kernel's fault-free baseline.
+    pub baseline_mem: Vec<u32>,
+    /// The injected fault.
+    pub fault: Option<Fault>,
 }
 
-fn run_specimen(s: &Specimen<'_>, engine: Engine) -> CampaignEntry {
+impl Specimen<'_> {
+    /// The pipeline request that runs this specimen: the kernel under
+    /// POpt with the fault injected.
+    pub fn request(&self) -> RunRequest<'_> {
+        let plan = match self.fault {
+            Some(f) => FaultPlan::single(f),
+            None => FaultPlan::none(),
+        };
+        RunRequest::new(self.kernel)
+            .policy(Policy::UePerfOpt)
+            .faults(plan)
+    }
+}
+
+fn run_specimen(s: &Specimen<'_>) -> CampaignEntry {
     let (fault_label, class) = match &s.fault {
         Some(f) => (f.label(), f.kind.class().to_string()),
         None => ("none".to_string(), "control".to_string()),
     };
-    let plan = match s.fault {
-        Some(f) => FaultPlan::single(f),
-        None => FaultPlan::none(),
-    };
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        RunRequest::new(s.kernel)
-            .policy(Policy::UePerfOpt)
-            .faults(plan)
-            .engine(engine)
-            .run()
-    }));
+    let outcome = catch_unwind(AssertUnwindSafe(|| s.request().run()));
     let (outcome, detail, violations) = match outcome {
         Err(panic) => {
             let msg = panic
@@ -132,18 +136,17 @@ fn run_specimen(s: &Specimen<'_>, engine: Engine) -> CampaignEntry {
     }
 }
 
-/// Run a campaign over `kernels`, returning the aggregated section.
+/// Draw a campaign's specimens over `kernels`, in campaign order.
 ///
 /// # Panics
 ///
 /// Panics if a fault-free baseline run fails — the campaign needs the
 /// baseline memory and flows to target and classify faults at all.
-pub fn run_campaign(kernels: &[Kernel], config: &CampaignConfig) -> CampaignSection {
+pub fn specimens<'a>(kernels: &'a [Kernel], config: &CampaignConfig) -> Vec<Specimen<'a>> {
     // Fault-free baselines, in parallel: reference memory + flows.
     let baselines = uecgra_util::par_tabulate(kernels.len(), |i| {
         RunRequest::new(&kernels[i])
             .policy(Policy::UePerfOpt)
-            .engine(config.engine)
             .run()
             .unwrap_or_else(|e| panic!("{} baseline failed: {e}", kernels[i].name))
     });
@@ -157,7 +160,7 @@ pub fn run_campaign(kernels: &[Kernel], config: &CampaignConfig) -> CampaignSect
         if !config.faults_enabled {
             specimens.push(Specimen {
                 kernel: k,
-                baseline_mem: &base.activity.mem,
+                baseline_mem: base.activity.mem.clone(),
                 fault: None,
             });
             continue;
@@ -174,15 +177,22 @@ pub fn run_campaign(kernels: &[Kernel], config: &CampaignConfig) -> CampaignSect
         for fault in plan.faults {
             specimens.push(Specimen {
                 kernel: k,
-                baseline_mem: &base.activity.mem,
+                baseline_mem: base.activity.mem.clone(),
                 fault: Some(fault),
             });
         }
     }
+    specimens
+}
 
-    let entries = uecgra_util::par_tabulate(specimens.len(), |i| {
-        run_specimen(&specimens[i], config.engine)
-    });
+/// Run a campaign over `kernels`, returning the aggregated section.
+///
+/// # Panics
+///
+/// As [`specimens`].
+pub fn run_campaign(kernels: &[Kernel], config: &CampaignConfig) -> CampaignSection {
+    let specimens = specimens(kernels, config);
+    let entries = uecgra_util::par_tabulate(specimens.len(), |i| run_specimen(&specimens[i]));
 
     let count = |o: &str| entries.iter().filter(|e| e.outcome == o).count() as u64;
     CampaignSection {

@@ -9,7 +9,6 @@
 pub mod campaign;
 
 use uecgra_core::experiments::KernelRuns;
-use uecgra_core::pipeline::Engine;
 use uecgra_core::report::run_report;
 use uecgra_dfg::{kernels, Kernel};
 use uecgra_probe::RunReport;
@@ -60,29 +59,6 @@ pub fn json_path() -> Option<String> {
         }
     }
     None
-}
-
-/// The `--engine dense|event` flag shared by every reproduction
-/// binary.
-///
-/// Defaults to the event-driven engine ([`Engine::default`]). Both
-/// engines are bit-identical by contract, so the choice never shows up
-/// in a report — `reproduce_all --engine both` runs the whole suite
-/// twice and asserts exactly that.
-///
-/// # Panics
-///
-/// Panics on an unrecognized engine name.
-pub fn engine_arg() -> Engine {
-    let mut argv = std::env::args().skip(1);
-    while let Some(flag) = argv.next() {
-        if flag == "--engine" {
-            let v = argv.next().expect("--engine needs a value");
-            return Engine::parse(&v)
-                .unwrap_or_else(|| panic!("unknown engine {v} (use dense|event)"));
-        }
-    }
-    Engine::default()
 }
 
 /// Write a report document (a JSON array of [`RunReport`]s) to `path`

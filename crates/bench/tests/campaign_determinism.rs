@@ -1,11 +1,12 @@
 //! Campaign determinism: the schema-v2 fault-campaign JSON must be a
 //! pure function of the campaign seed — byte-identical across worker
-//! thread counts and across simulation engines.
+//! thread counts — and every specimen must run identically on both
+//! simulation engines.
 
-use uecgra_bench::campaign::{campaign_report, run_campaign, CampaignConfig};
-use uecgra_core::pipeline::Engine;
+use uecgra_bench::campaign::{campaign_report, run_campaign, specimens, CampaignConfig};
 use uecgra_dfg::{kernels, Kernel};
 use uecgra_probe::RunReport;
+use uecgra_rtl::Engine;
 
 fn tiny_kernels() -> Vec<Kernel> {
     vec![
@@ -38,32 +39,26 @@ fn campaign_json_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn engines_agree_on_every_injected_fault_outcome() {
-    let base = CampaignConfig {
+    let config = CampaignConfig {
         seed: 3,
         per_kernel: 6,
         ..CampaignConfig::default()
     };
-    let dense = run_campaign(
-        &tiny_kernels(),
-        &CampaignConfig {
-            engine: Engine::Dense,
-            ..base
-        },
-    );
-    let event = run_campaign(
-        &tiny_kernels(),
-        &CampaignConfig {
-            engine: Engine::EventDriven,
-            ..base
-        },
-    );
-    assert_eq!(
-        dense.entries.len(),
-        event.entries.len(),
-        "engines drew different specimen sets"
-    );
-    for (d, e) in dense.entries.iter().zip(&event.entries) {
-        assert_eq!(d, e, "engines disagree on fault {}", d.fault);
+    let ks = tiny_kernels();
+    let specimens = specimens(&ks, &config);
+    assert_eq!(specimens.len(), 12, "one rotation of six faults per kernel");
+    // Each specimen's compiled fabric, fault plan included, must give
+    // the same `Activity` on the dense oracle and the event engine —
+    // so every campaign outcome is engine-independent.
+    for s in &specimens {
+        let compiled = s.request().compile().expect("tiny kernels compile");
+        let dense = compiled.fabric().run_with(Engine::Dense);
+        let event = compiled.fabric().run_with(Engine::EventDriven);
+        let fault = s.fault.map(|f| f.label()).unwrap_or_default();
+        assert_eq!(
+            dense, event,
+            "{}: engines disagree on fault {fault}",
+            s.kernel.name
+        );
     }
-    assert_eq!(dense, event);
 }

@@ -2,9 +2,10 @@
 //!
 //! ```text
 //! uecgra run <source.loop> [--policy e|eopt|popt] [--seed N]
-//!            [--engine dense|event] [--mem-words N] [--vcd <out.vcd>]
-//!            [--dump-mem A..B] [--json <report.json>]
-//! uecgra compile <source.loop> [--seed N]      # print the mapping
+//!            [--mem-words N] [--vcd <out.vcd>] [--dump-mem A..B]
+//!            [--json <report.json>]
+//! uecgra compile <source.loop> [--policy e|eopt|popt] [--seed N]
+//!                                              # print the mapping
 //! uecgra dse <source.loop> [--seed N] [--budget N]
 //!            [--cache <cache.json>] [--json <report.json>]
 //! uecgra check-report <report.json>            # round-trip validate
@@ -12,7 +13,10 @@
 //!
 //! The source language is the compiler's loop mini-language (see
 //! `uecgra_compiler::parse`): array declarations with base addresses
-//! and one counted loop with carried scalars.
+//! and one counted loop with carried scalars. `run` and `compile`
+//! hand the lowered loop to the library pipeline
+//! (`RunRequest::from_dfg`), so they map, power-map, assemble and
+//! simulate exactly as every other front door does.
 //!
 //! `--json` writes a `uecgra-probe` [`RunReport`] (including
 //! wall-clock phase timings — the interactive CLI is the one place
@@ -39,18 +43,14 @@
 use std::process::ExitCode;
 use uecgra_core::cli::{parse_args, usage, CliArgs};
 use uecgra_core::error::{error_chain, Error};
-use uecgra_core::pipeline::{check_stop, CgraRun, Policy};
+use uecgra_core::pipeline::{Policy, RunRequest};
 use uecgra_core::report::run_report;
 use uecgra_probe::{Phase, ProbeSink as _, RunReport, SchemaError, TimingSink};
-use uecgra_rtl::fabric::{Fabric, FabricConfig};
 
-use uecgra_clock::VfMode;
-use uecgra_compiler::bitstream::{Bitstream, PeRole};
+use uecgra_compiler::bitstream::PeRole;
 use uecgra_compiler::frontend::lower;
-use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
 use uecgra_compiler::opt::optimize;
 use uecgra_compiler::parse::parse;
-use uecgra_compiler::power_map::{power_map_routed, Objective};
 
 /// CLI failures: argument/usage problems keep their plain one-line
 /// form; pipeline failures carry the unified [`Error`] so `main` can
@@ -130,9 +130,9 @@ fn source_stem(source: &str) -> &str {
 /// `uecgra dse`: explore VF-mode assignments of the lowered *logical*
 /// DFG (no routing pass — empty extra hops, matching the paper's
 /// logical power mapper) and print the Pareto frontier. The `--json`
-/// report is fully deterministic: no timings, no engine tag, and no
-/// cache statistics (those go to stderr), so its bytes are identical
-/// across thread counts and cold vs warm caches.
+/// report is fully deterministic: no timings and no cache statistics
+/// (those go to stderr), so its bytes are identical across thread
+/// counts and cold vs warm caches.
 fn dse_command(
     args: &CliArgs,
     dfg: &uecgra_dfg::Dfg,
@@ -238,40 +238,26 @@ fn real_main() -> Result<(), CliError> {
 
     // CSE + DCE before mapping.
     let optimized = optimize(&raw.dfg);
-    let marker_node = optimized
+    let marker = optimized
         .node_map
         .get(raw.induction_phi.index())
         .copied()
         .flatten()
         .ok_or_else(|| "the loop has no side effects; nothing to run".to_string())?;
-    struct Lowered {
-        dfg: uecgra_dfg::Dfg,
-        induction_phi: uecgra_dfg::NodeId,
-    }
-    let lowered = Lowered {
-        dfg: optimized.dfg,
-        induction_phi: marker_node,
-    };
+    let dfg = optimized.dfg;
     eprintln!(
         "lowered: {} ops ({} after CSE/DCE), recurrence MII {}",
         raw.dfg.pe_node_count(),
-        lowered.dfg.pe_node_count(),
-        uecgra_dfg::analysis::recurrence_mii(&lowered.dfg)
+        dfg.pe_node_count(),
+        uecgra_dfg::analysis::recurrence_mii(&dfg)
     );
 
     if args.command == "dse" {
-        return dse_command(&args, &lowered.dfg, lowered.induction_phi);
+        return dse_command(&args, &dfg, marker);
     }
-
-    let mapped = timed(&mut sink, Phase::PlaceRoute, || {
-        MappedKernel::map(&lowered.dfg, ArrayShape::default(), args.seed)
-    })
-    .map_err(Error::from)?;
-    eprintln!(
-        "mapped: {:.0}% utilization, wirelength {}",
-        mapped.utilization() * 100.0,
-        mapped.wirelength()
-    );
+    if args.command != "run" && args.command != "compile" {
+        return Err(usage().into());
+    }
 
     let policy = match args.policy.as_str() {
         "e" => Policy::ECgra,
@@ -280,44 +266,22 @@ fn real_main() -> Result<(), CliError> {
         other => return Err(format!("unknown policy {other} (use e|eopt|popt)").into()),
     };
     let mem = vec![0u32; args.mem_words];
-    let extra: Vec<u32> = lowered
-        .dfg
-        .edges()
-        .map(|(id, _)| mapped.extra_hops(id))
-        .collect();
-    let modes = timed(&mut sink, Phase::PowerMap, || match policy {
-        Policy::ECgra => vec![VfMode::Nominal; lowered.dfg.node_count()],
-        Policy::UeEnergyOpt => {
-            power_map_routed(
-                &lowered.dfg,
-                mem.clone(),
-                lowered.induction_phi,
-                Objective::Energy,
-                &extra,
-            )
-            .node_modes
-        }
-        Policy::UePerfOpt => {
-            power_map_routed(
-                &lowered.dfg,
-                mem.clone(),
-                lowered.induction_phi,
-                Objective::Performance,
-                &extra,
-            )
-            .node_modes
-        }
-    });
-
-    let bitstream = timed(&mut sink, Phase::Assemble, || {
-        Bitstream::assemble(&lowered.dfg, &mapped, &modes)
-    })
-    .map_err(Error::from)?;
-    let (compute, route, gated) = bitstream.role_counts();
+    let compiled = RunRequest::from_dfg(&dfg, marker, &mem)
+        .policy(policy)
+        .seed(args.seed)
+        .record_events(args.vcd.is_some())
+        .probe(&mut sink)
+        .compile()?;
+    eprintln!(
+        "mapped: {:.0}% utilization, wirelength {}",
+        compiled.mapped.utilization() * 100.0,
+        compiled.mapped.wirelength()
+    );
+    let (compute, route, gated) = compiled.bitstream.role_counts();
     eprintln!("bitstream: {compute} compute, {route} route-only, {gated} gated PEs");
 
     if args.command == "compile" {
-        for (y, row) in bitstream.grid.iter().enumerate() {
+        for (y, row) in compiled.bitstream.grid.iter().enumerate() {
             for (x, cfg) in row.iter().enumerate() {
                 if let PeRole::Compute(op) = cfg.role {
                     println!("PE ({x},{y}): {} @ {}", op.mnemonic(), cfg.clk);
@@ -328,18 +292,9 @@ fn real_main() -> Result<(), CliError> {
         }
         return Ok(());
     }
-    if args.command != "run" {
-        return Err(usage().into());
-    }
 
-    let config = FabricConfig {
-        marker: Some(mapped.coord_of(lowered.induction_phi)),
-        record_events: args.vcd.is_some(),
-        ..FabricConfig::default()
-    };
-    let activity = timed(&mut sink, Phase::Simulate, || {
-        Fabric::new(&bitstream, mem, config).run_with(args.engine)
-    });
+    let run = compiled.run()?;
+    let activity = &run.activity;
     println!(
         "ran {} iterations in {:.0} nominal cycles (II {:.2}), stop: {:?}",
         activity.iterations(),
@@ -347,42 +302,30 @@ fn real_main() -> Result<(), CliError> {
         activity.steady_ii(4).unwrap_or(f64::NAN),
         activity.stop
     );
-    check_stop(&activity)?;
-
-    let iterations = activity.iterations();
-    let run = CgraRun {
-        policy,
-        mapped,
-        bitstream,
-        modes,
-        activity,
-        iterations,
-    };
 
     if let Some(path) = &args.vcd {
-        let vcd = uecgra_rtl::trace::to_vcd(&run.activity, &run.bitstream).map_err(Error::from)?;
+        let vcd = uecgra_rtl::trace::to_vcd(activity, &run.bitstream).map_err(Error::from)?;
         write_file(path, &vcd)?;
         eprintln!("wrote waveform to {path}");
     }
     if let Some(path) = &args.json {
-        let source_name = args
-            .source
-            .rsplit('/')
-            .next()
-            .unwrap_or(&args.source)
-            .trim_end_matches(".loop");
-        let mut report = run_report(format!("{source_name}/{}", policy.label()), None, &run);
+        let name = format!("{}/{}", source_stem(&args.source), policy.label());
+        let mut report = run_report(name, None, &run);
         report.seed = Some(args.seed);
-        report.engine = Some(args.engine.label().to_string());
         report.timings = Some(sink.timings);
         write_file(path, &RunReport::render_all(std::slice::from_ref(&report)))?;
         eprintln!("wrote report to {path}");
     }
     if let Some((a, b)) = args.dump {
-        for (i, chunk) in run.activity.mem[a..b.min(run.activity.mem.len())]
-            .chunks(8)
-            .enumerate()
-        {
+        let mem = &activity.mem;
+        if a >= mem.len() {
+            return Err(format!(
+                "--dump-mem: start {a} is past the {}-word memory image",
+                mem.len()
+            )
+            .into());
+        }
+        for (i, chunk) in mem[a..b.min(mem.len())].chunks(8).enumerate() {
             print!("{:>6}:", a + i * 8);
             for w in chunk {
                 print!(" {w:>10}");

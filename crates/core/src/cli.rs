@@ -12,8 +12,6 @@
 //!   message still names the flag and now also survives the flag
 //!   being the final token.
 
-use uecgra_rtl::Engine;
-
 /// The parsed `uecgra` command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CliArgs {
@@ -23,15 +21,14 @@ pub struct CliArgs {
     pub source: String,
     /// Policy name (`e`, `eopt`, `popt`).
     pub policy: String,
-    /// Simulation engine.
-    pub engine: Engine,
     /// Mapping seed.
     pub seed: u64,
     /// Scratchpad size in words.
     pub mem_words: usize,
     /// Waveform output path.
     pub vcd: Option<String>,
-    /// Memory dump range `A..B`.
+    /// Memory dump range `A..B` (`A <= B`; the end is clamped to the
+    /// memory image).
     pub dump: Option<(usize, usize)>,
     /// Telemetry report output path.
     pub json: Option<String>,
@@ -44,7 +41,7 @@ pub struct CliArgs {
 /// The one-line usage string.
 pub fn usage() -> String {
     "usage: uecgra <run|compile|dse|check-report> <file> [--policy e|eopt|popt] \
-     [--engine dense|event] [--seed N] [--mem-words N] [--vcd out.vcd] \
+     [--seed N] [--mem-words N] [--vcd out.vcd] \
      [--dump-mem A..B] [--json report.json] [--budget N] [--cache cache.json]"
         .to_string()
 }
@@ -55,8 +52,9 @@ pub fn usage() -> String {
 /// # Errors
 ///
 /// Returns a one-line usage/diagnostic string on a missing
-/// subcommand or file, an unknown flag, an unparsable value, a flag
-/// without its value, or a duplicated flag.
+/// subcommand or file, an unknown flag, an unparsable value, a
+/// reversed `--dump-mem` range, a flag without its value, or a
+/// duplicated flag.
 pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<CliArgs, String> {
     let mut argv = argv.into_iter();
     let _ = argv.next();
@@ -66,7 +64,6 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<CliArgs, Str
         command,
         source,
         policy: "popt".into(),
-        engine: Engine::default(),
         seed: 7,
         mem_words: 8192,
         vcd: None,
@@ -84,11 +81,6 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<CliArgs, Str
         let mut value = || argv.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
             "--policy" => args.policy = value()?,
-            "--engine" => {
-                let v = value()?;
-                args.engine = Engine::parse(&v)
-                    .ok_or_else(|| format!("--engine: unknown engine {v} (use dense|event)"))?;
-            }
             "--seed" => args.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--mem-words" => {
                 args.mem_words = value()?.parse().map_err(|e| format!("--mem-words: {e}"))?
@@ -99,10 +91,12 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<CliArgs, Str
                 let (a, b) = v
                     .split_once("..")
                     .ok_or_else(|| "--dump-mem expects A..B".to_string())?;
-                args.dump = Some((
-                    a.parse().map_err(|e| format!("--dump-mem: {e}"))?,
-                    b.parse().map_err(|e| format!("--dump-mem: {e}"))?,
-                ));
+                let a: usize = a.parse().map_err(|e| format!("--dump-mem: {e}"))?;
+                let b: usize = b.parse().map_err(|e| format!("--dump-mem: {e}"))?;
+                if a > b {
+                    return Err(format!("--dump-mem: range {a}..{b} is reversed"));
+                }
+                args.dump = Some((a, b));
             }
             "--json" => args.json = Some(value()?),
             "--budget" => {
@@ -143,8 +137,6 @@ mod tests {
             "e",
             "--seed",
             "9",
-            "--engine",
-            "dense",
             "--dump-mem",
             "0..16",
             "--json",
@@ -153,7 +145,6 @@ mod tests {
         .unwrap();
         assert_eq!(a.policy, "e");
         assert_eq!(a.seed, 9);
-        assert_eq!(a.engine, Engine::Dense);
         assert_eq!(a.dump, Some((0, 16)));
         assert_eq!(a.json.as_deref(), Some("out.json"));
     }
@@ -206,9 +197,13 @@ mod tests {
             parse(&["run", "k.loop", "--dump-mem", "16"]).unwrap_err(),
             "--dump-mem expects A..B"
         );
-        assert!(parse(&["run", "k.loop", "--engine", "warp"])
+        assert_eq!(
+            parse(&["run", "k.loop", "--dump-mem", "10..5"]).unwrap_err(),
+            "--dump-mem: range 10..5 is reversed"
+        );
+        assert!(parse(&["run", "k.loop", "--engine", "event"])
             .unwrap_err()
-            .contains("unknown engine"));
+            .starts_with("unknown flag --engine"));
         assert!(parse(&["run", "k.loop", "--frobnicate"])
             .unwrap_err()
             .starts_with("unknown flag --frobnicate"));

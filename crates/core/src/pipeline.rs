@@ -22,18 +22,22 @@
 //!
 //! The builder exposes the knobs the figure harnesses need (queue
 //! depth, iteration cap, event recording, a [`ProbeSink`] for phase
-//! timings); [`run_kernel`] survives as a thin positional wrapper.
+//! timings). A request runs in two steps: [`RunRequest::compile`]
+//! (map → power-map → assemble → validate) returns a [`Compiled`]
+//! kernel, and [`Compiled::run`] simulates it and judges the stop.
+//! [`RunRequest::run`] does both. A request is built from a library
+//! [`Kernel`] or, as the `uecgra` CLI does, from a lowered loop
+//! ([`RunRequest::from_dfg`]).
 
 use crate::error::Error;
 use uecgra_clock::{ClockSet, VfMode};
 use uecgra_compiler::bitstream::Bitstream;
 use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
 use uecgra_compiler::power_map::{power_map_routed, Objective};
-use uecgra_dfg::Kernel;
+use uecgra_dfg::{Dfg, Kernel, NodeId};
 use uecgra_probe::{Phase, ProbeSink};
 use uecgra_rtl::fabric::{Fabric, FabricConfig, FabricStop};
 use uecgra_rtl::Activity;
-pub use uecgra_rtl::Engine;
 pub use uecgra_rtl::FaultPlan;
 
 /// Which machine/policy a kernel is compiled for.
@@ -74,7 +78,8 @@ pub struct CgraRun {
     pub modes: Vec<VfMode>,
     /// Cycle-level execution results.
     pub activity: Activity,
-    /// Iterations the kernel was built for.
+    /// Iterations the kernel was built for (for a request built with
+    /// [`RunRequest::from_dfg`], the iterations the fabric completed).
     pub iterations: u64,
 }
 
@@ -115,11 +120,6 @@ impl CgraRun {
     }
 }
 
-/// Errors from the pipeline — an alias for the unified workspace
-/// [`Error`](crate::error::Error), kept for source compatibility with
-/// the original two-variant enum.
-pub type PipelineError = Error;
-
 /// Run `f`, reporting its wall-clock duration to `sink` when one is
 /// attached. With no sink this is just a call — no clock reads, no
 /// allocation — which keeps the hot fan-out paths cheap.
@@ -135,20 +135,20 @@ fn timed<T>(sink: &mut Option<&mut dyn ProbeSink>, phase: Phase, f: impl FnOnce(
     }
 }
 
-/// A configured compile-and-execute request: the builder-style
-/// replacement for the positional [`run_kernel`].
+/// A configured compile-and-execute request.
 ///
-/// Defaults match `run_kernel`'s historical behavior: E-CGRA policy,
-/// seed 7, paper-default queue depth 2, run to quiescence, no event
-/// recording, no probe.
+/// Defaults: E-CGRA policy, seed 7, paper-default queue depth 2, run
+/// to quiescence, no event recording, no probe.
 pub struct RunRequest<'a> {
-    kernel: &'a Kernel,
+    dfg: &'a Dfg,
+    marker: NodeId,
+    mem: &'a [u32],
+    target: Option<u64>,
     policy: Policy,
     seed: u64,
     iterations: Option<u64>,
     queue_depth: usize,
     record_events: bool,
-    engine: Engine,
     divisors: Option<[u32; 3]>,
     faults: FaultPlan,
     watchdog: Option<bool>,
@@ -156,16 +156,32 @@ pub struct RunRequest<'a> {
 }
 
 impl<'a> RunRequest<'a> {
-    /// Start a request for `kernel` with default settings.
+    /// Start a request for `kernel` with default settings. The
+    /// kernel's iteration count is the run's target: it is what
+    /// [`CgraRun::iterations`] records and what the watchdog expects.
     pub fn new(kernel: &'a Kernel) -> RunRequest<'a> {
         RunRequest {
-            kernel,
+            target: Some(kernel.iters as u64),
+            ..RunRequest::from_dfg(&kernel.dfg, kernel.iter_marker, &kernel.mem)
+        }
+    }
+
+    /// Start a request for a lowered loop: its dataflow graph, the node
+    /// whose firings count iterations, and the initial memory image.
+    /// With no known trip count, [`CgraRun::iterations`] records the
+    /// iterations the fabric completed, and the watchdog checks only an
+    /// explicit [`RunRequest::iterations`] cap.
+    pub fn from_dfg(dfg: &'a Dfg, marker: NodeId, mem: &'a [u32]) -> RunRequest<'a> {
+        RunRequest {
+            dfg,
+            marker,
+            mem,
+            target: None,
             policy: Policy::ECgra,
             seed: 7,
             iterations: None,
             queue_depth: 2,
             record_events: false,
-            engine: Engine::default(),
             divisors: None,
             faults: FaultPlan::none(),
             watchdog: None,
@@ -193,7 +209,7 @@ impl<'a> RunRequest<'a> {
     }
 
     /// Input-queue capacity (default: 2, the paper's). Zero is
-    /// rejected by [`RunRequest::run`] with [`Error::QueueDepth`].
+    /// rejected by [`RunRequest::compile`] with [`Error::QueueDepth`].
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
         self
@@ -205,15 +221,9 @@ impl<'a> RunRequest<'a> {
         self
     }
 
-    /// Select the simulation engine (default: [`Engine::EventDriven`],
-    /// bit-identical to the dense reference stepper by contract).
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Override the rational clock divisors `[rest, nominal, sprint]`
-    /// (default: the paper's 9:3:2). Validated in [`RunRequest::run`].
+    /// (default: the paper's 9:3:2). Validated in
+    /// [`RunRequest::compile`].
     pub fn divisors(mut self, divisors: [u32; 3]) -> Self {
         self.divisors = Some(divisors);
         self
@@ -246,26 +256,25 @@ impl<'a> RunRequest<'a> {
         self
     }
 
-    /// Compile and execute.
+    /// Compile without executing: place and route, power-map under the
+    /// policy, assemble and validate the bitstream.
     ///
     /// # Errors
     ///
-    /// Returns the pipeline [`Error`] of the first failing stage:
-    /// an invalid clock-divisor request or queue depth, mapping,
-    /// bitstream assembly or validation, a fabric run that hits its
-    /// tick limit, a fatal
-    /// elastic-protocol violation ([`Error::Protocol`]), or — with the
-    /// watchdog armed — a run that quiesced short of its iteration
-    /// target ([`Error::Stalled`]).
-    pub fn run(self) -> Result<CgraRun, Error> {
+    /// Returns the [`Error`] of the first failing stage: an invalid
+    /// clock-divisor request or queue depth, mapping, or bitstream
+    /// assembly or validation.
+    pub fn compile(self) -> Result<Compiled<'a>, Error> {
         let RunRequest {
-            kernel,
+            dfg,
+            marker,
+            mem,
+            target,
             policy,
             seed,
             iterations,
             queue_depth,
             record_events,
-            engine,
             divisors,
             faults,
             watchdog,
@@ -280,66 +289,108 @@ impl<'a> RunRequest<'a> {
             return Err(Error::QueueDepth(queue_depth));
         }
         let mapped = timed(&mut sink, Phase::PlaceRoute, || {
-            MappedKernel::map(&kernel.dfg, ArrayShape::default(), seed)
+            MappedKernel::map(dfg, ArrayShape::default(), seed)
         })?;
         // Routing-aware power mapping: feed the routed per-edge hop
         // counts into MeasureEnergyDelay so rest/sprint decisions see
         // physical recurrence lengths.
-        let extra: Vec<u32> = kernel
-            .dfg
-            .edges()
-            .map(|(id, _)| mapped.extra_hops(id))
-            .collect();
-
-        let modes = timed(&mut sink, Phase::PowerMap, || match policy {
-            Policy::ECgra => vec![VfMode::Nominal; kernel.dfg.node_count()],
-            Policy::UeEnergyOpt => {
-                power_map_routed(
-                    &kernel.dfg,
-                    kernel.mem.clone(),
-                    kernel.iter_marker,
-                    Objective::Energy,
-                    &extra,
-                )
-                .node_modes
-            }
-            Policy::UePerfOpt => {
-                power_map_routed(
-                    &kernel.dfg,
-                    kernel.mem.clone(),
-                    kernel.iter_marker,
-                    Objective::Performance,
-                    &extra,
-                )
-                .node_modes
-            }
+        let extra: Vec<u32> = dfg.edges().map(|(id, _)| mapped.extra_hops(id)).collect();
+        let objective = match policy {
+            Policy::ECgra => None,
+            Policy::UeEnergyOpt => Some(Objective::Energy),
+            Policy::UePerfOpt => Some(Objective::Performance),
+        };
+        let modes = timed(&mut sink, Phase::PowerMap, || match objective {
+            None => vec![VfMode::Nominal; dfg.node_count()],
+            Some(obj) => power_map_routed(dfg, mem.to_vec(), marker, obj, &extra).node_modes,
         });
 
         let bitstream = timed(&mut sink, Phase::Assemble, || {
-            Bitstream::assemble(&kernel.dfg, &mapped, &modes)
+            Bitstream::assemble(dfg, &mapped, &modes)
         })?;
         bitstream.validate()?;
         let watchdog = watchdog.unwrap_or(!faults.is_empty());
         let config = FabricConfig {
             clocks,
-            marker: Some(mapped.coord_of(kernel.iter_marker)),
+            marker: Some(mapped.coord_of(marker)),
             max_marker_fires: iterations,
             queue_capacity: queue_depth,
             record_events,
             faults,
             ..FabricConfig::default()
         };
+        Ok(Compiled {
+            policy,
+            mapped,
+            bitstream,
+            modes,
+            mem,
+            target,
+            watchdog,
+            config,
+            sink,
+        })
+    }
+
+    /// Compile and execute: [`RunRequest::compile`], then
+    /// [`Compiled::run`].
+    ///
+    /// # Errors
+    ///
+    /// The errors of both steps.
+    pub fn run(self) -> Result<CgraRun, Error> {
+        self.compile()?.run()
+    }
+}
+
+/// A compiled request, ready to execute: the mapped kernel, its
+/// validated bitstream and DVFS modes, and the fabric settings the
+/// request chose.
+pub struct Compiled<'a> {
+    /// The placed-and-routed kernel.
+    pub mapped: MappedKernel,
+    /// The assembled, validated configuration.
+    pub bitstream: Bitstream,
+    /// Per-DFG-node DVFS modes.
+    pub modes: Vec<VfMode>,
+    policy: Policy,
+    mem: &'a [u32],
+    target: Option<u64>,
+    watchdog: bool,
+    config: FabricConfig,
+    sink: Option<&'a mut dyn ProbeSink>,
+}
+
+impl Compiled<'_> {
+    /// The fabric [`Compiled::run`] simulates: the bitstream loaded
+    /// with the request's memory image, marker, iteration cap, queue
+    /// depth, clocks, event recording and faults.
+    pub fn fabric(&self) -> Fabric {
+        Fabric::new(&self.bitstream, self.mem.to_vec(), self.config.clone())
+    }
+
+    /// Execute on the fabric's default (event-driven) engine and judge
+    /// how the run stopped.
+    ///
+    /// # Errors
+    ///
+    /// A fabric run that hits its tick limit, a fatal elastic-protocol
+    /// violation ([`Error::Protocol`]), or — with the watchdog armed —
+    /// a run that quiesced short of its iteration target
+    /// ([`Error::Stalled`]).
+    pub fn run(mut self) -> Result<CgraRun, Error> {
+        let mut sink = self.sink.take();
         let activity = timed(&mut sink, Phase::Simulate, || {
-            Fabric::new(&bitstream, kernel.mem.clone(), config).run_with(engine)
+            self.fabric().run_with(Default::default())
         });
         check_stop(&activity)?;
         // No-progress watchdog: a quiesced fabric that delivered fewer
-        // marker fires than the kernel's iteration target has live- or
+        // marker fires than the iteration target has live- or
         // deadlocked (under faults this is the expected failure mode of
         // a permanently stuck handshake or stalled domain). Attribute
         // the stall to the PE with the most blocked edges.
-        let expected = iterations.unwrap_or(kernel.iters as u64);
-        if watchdog && activity.iterations() < expected {
+        let expected = self.config.max_marker_fires.or(self.target);
+        if self.watchdog && expected.is_some_and(|n| activity.iterations() < n) {
             return Err(Error::Stalled {
                 cycle: activity.ticks,
                 pe: worst_stalled_pe(&activity),
@@ -347,12 +398,12 @@ impl<'a> RunRequest<'a> {
         }
 
         Ok(CgraRun {
-            policy,
-            mapped,
-            bitstream,
-            modes,
+            policy: self.policy,
+            mapped: self.mapped,
+            bitstream: self.bitstream,
+            modes: self.modes,
+            iterations: self.target.unwrap_or_else(|| activity.iterations()),
             activity,
-            iterations: kernel.iters as u64,
         })
     }
 }
@@ -360,12 +411,8 @@ impl<'a> RunRequest<'a> {
 /// The pipeline's verdict on how a fabric run stopped: a fatal
 /// elastic-protocol violation is [`Error::Protocol`], hitting the tick
 /// limit is [`Error::DidNotTerminate`], and any other stop is a
-/// finished run. Every front door that runs the fabric applies it.
-///
-/// # Errors
-///
-/// As above.
-pub fn check_stop(activity: &Activity) -> Result<(), Error> {
+/// finished run.
+fn check_stop(activity: &Activity) -> Result<(), Error> {
     match activity.stop {
         FabricStop::ProtocolViolation => Err(Error::Protocol(
             *activity
@@ -396,22 +443,6 @@ fn worst_stalled_pe(act: &Activity) -> (usize, usize) {
     best
 }
 
-/// Compile `kernel` under `policy` and execute it to completion on the
-/// 8×8 fabric.
-///
-/// Deprecated-style wrapper: prefer [`RunRequest`], which exposes the
-/// remaining knobs (iteration cap, queue depth, event recording,
-/// probe sinks). This positional form is kept so existing harnesses
-/// migrate mechanically.
-///
-/// # Errors
-///
-/// Returns a [`PipelineError`] if mapping fails or execution hits the
-/// tick limit.
-pub fn run_kernel(kernel: &Kernel, policy: Policy, seed: u64) -> Result<CgraRun, PipelineError> {
-    RunRequest::new(kernel).policy(policy).seed(seed).run()
-}
-
 /// Compile and execute every `(kernel, policy)` pair across worker
 /// threads, returning results grouped per kernel in input order
 /// (`result[k][p]` is kernel `k` under `Policy::ALL[p]`).
@@ -422,32 +453,14 @@ pub fn run_kernel(kernel: &Kernel, policy: Policy, seed: u64) -> Result<CgraRun,
 ///
 /// # Errors
 ///
-/// Each slot carries its own [`PipelineError`]; one failing pair does
-/// not abort the rest.
-pub fn run_kernels_parallel(
-    kernels: &[Kernel],
-    seed: u64,
-) -> Vec<Vec<Result<CgraRun, PipelineError>>> {
-    run_kernels_parallel_with(kernels, seed, Engine::default())
-}
-
-/// [`run_kernels_parallel`] with an explicit simulation engine.
-///
-/// # Errors
-///
-/// Each slot carries its own [`PipelineError`]; one failing pair does
-/// not abort the rest.
-pub fn run_kernels_parallel_with(
-    kernels: &[Kernel],
-    seed: u64,
-    engine: Engine,
-) -> Vec<Vec<Result<CgraRun, PipelineError>>> {
+/// Each slot carries its own [`Error`]; one failing pair does not
+/// abort the rest.
+pub fn run_kernels_parallel(kernels: &[Kernel], seed: u64) -> Vec<Vec<Result<CgraRun, Error>>> {
     let n_pol = Policy::ALL.len();
     let mut flat = uecgra_util::par_tabulate(kernels.len() * n_pol, |i| {
         RunRequest::new(&kernels[i / n_pol])
             .policy(Policy::ALL[i % n_pol])
             .seed(seed)
-            .engine(engine)
             .run()
     })
     .into_iter();
@@ -470,7 +483,7 @@ mod tests {
     fn pipeline_runs_all_policies_on_llist() {
         let k = kernels::llist::build_with_hops(60);
         for policy in Policy::ALL {
-            let run = run_kernel(&k, policy, 7).unwrap();
+            let run = RunRequest::new(&k).policy(policy).run().unwrap();
             let expect = k.reference_memory();
             assert_eq!(
                 &run.activity.mem[..expect.len()],
@@ -485,24 +498,50 @@ mod tests {
     #[test]
     fn tick_limit_stops_do_not_terminate() {
         let k = kernels::llist::build_with_hops(40);
-        let mapped = MappedKernel::map(&k.dfg, ArrayShape::default(), 7).unwrap();
-        let modes = vec![VfMode::Nominal; k.dfg.node_count()];
-        let bitstream = Bitstream::assemble(&k.dfg, &mapped, &modes).unwrap();
+        let compiled = RunRequest::new(&k).compile().unwrap();
         let config = FabricConfig {
-            marker: Some(mapped.coord_of(k.iter_marker)),
+            marker: Some(compiled.mapped.coord_of(k.iter_marker)),
             max_ticks: 60,
             ..FabricConfig::default()
         };
-        let activity = Fabric::new(&bitstream, k.mem.clone(), config).run_with(Engine::EventDriven);
+        let activity =
+            Fabric::new(&compiled.bitstream, k.mem.clone(), config).run_with(Default::default());
         assert_eq!(activity.stop, FabricStop::TickLimit);
         assert_eq!(check_stop(&activity), Err(Error::DidNotTerminate));
     }
 
     #[test]
+    fn a_lowered_loop_runs_like_its_kernel() {
+        let k = kernels::dither::build_with_pixels(40);
+        let from_kernel = RunRequest::new(&k).policy(Policy::UePerfOpt).run().unwrap();
+        let from_dfg = RunRequest::from_dfg(&k.dfg, k.iter_marker, &k.mem)
+            .policy(Policy::UePerfOpt)
+            .run()
+            .unwrap();
+        assert_eq!(from_dfg.activity, from_kernel.activity);
+        assert_eq!(from_dfg.modes, from_kernel.modes);
+        // With no trip count, the run records what the fabric did.
+        assert_eq!(from_kernel.iterations, k.iters as u64);
+        assert_eq!(from_dfg.iterations, from_dfg.activity.iterations());
+    }
+
+    #[test]
+    fn compiled_fabric_is_the_one_run_simulates() {
+        let k = kernels::llist::build_with_hops(30);
+        let compiled = RunRequest::new(&k)
+            .iterations(20)
+            .queue_depth(3)
+            .compile()
+            .unwrap();
+        let activity = compiled.fabric().run_with(Default::default());
+        assert_eq!(compiled.run().unwrap().activity, activity);
+    }
+
+    #[test]
     fn popt_is_fastest_policy() {
         let k = kernels::dither::build_with_pixels(60);
-        let e = run_kernel(&k, Policy::ECgra, 7).unwrap();
-        let p = run_kernel(&k, Policy::UePerfOpt, 7).unwrap();
+        let e = RunRequest::new(&k).run().unwrap();
+        let p = RunRequest::new(&k).policy(Policy::UePerfOpt).run().unwrap();
         assert!(p.ii() < e.ii(), "POpt {} vs E {}", p.ii(), e.ii());
     }
 
@@ -553,7 +592,7 @@ mod tests {
     #[test]
     fn runtime_uses_750mhz_nominal() {
         let k = kernels::llist::build_with_hops(30);
-        let run = run_kernel(&k, Policy::ECgra, 7).unwrap();
+        let run = RunRequest::new(&k).run().unwrap();
         let expect = run.activity.nominal_cycles() * (4.0 / 3.0);
         assert_eq!(run.runtime_ns(), expect);
     }

@@ -187,3 +187,32 @@ fn unknown_flags_are_rejected() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
 }
+
+/// Run `uecgra run` on the accumulate loop with `--dump-mem <range>`.
+fn run_with_dump(name: &str, range: &str) -> std::process::Output {
+    let src = write_source(name, ACCUMULATE);
+    Command::new(bin())
+        .args(["run", src.to_str().unwrap(), "--dump-mem", range])
+        .output()
+        .expect("binary runs")
+}
+
+#[test]
+fn reversed_dump_range_is_a_usage_error() {
+    let out = run_with_dump("uecgra_cli_dump_rev.loop", "10..5");
+    // Exit 1 (a diagnosed error), not 101 (a panic).
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("range 10..5 is reversed"), "{stderr}");
+}
+
+#[test]
+fn dump_range_past_the_memory_image_is_an_error() {
+    let out = run_with_dump("uecgra_cli_dump_oob.loop", "9000..9010");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("start 9000 is past the 8192-word memory image"),
+        "{stderr}"
+    );
+}

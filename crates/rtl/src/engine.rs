@@ -16,7 +16,11 @@
 //! both engines must produce bit-identical [`Activity`] (and therefore
 //! `RunReport`s) on every kernel. The contract is enforced by the
 //! differential test layer (`tests/differential.rs`) over seeded
-//! random fabrics and by `reproduce_all --engine both`.
+//! random fabrics, the golden fabric matrix, and parity tests on the
+//! fabrics the reproduction binaries and the fault campaign simulate.
+//! Outside this crate nothing selects an engine: every surface runs
+//! [`Engine::default`], and only the `smoke_timing` speed gate and the
+//! parity checks name the dense stepper.
 //!
 //! # Scheduling model
 //!
@@ -69,8 +73,8 @@ impl Engine {
     /// Both engines, reference first.
     pub const ALL: [Engine; 2] = [Engine::Dense, Engine::EventDriven];
 
-    /// Stable short name (`"dense"` / `"event"`), used by `--engine`
-    /// flags and report tags.
+    /// Stable short name (`"dense"` / `"event"`), used by
+    /// `smoke_timing --engine`.
     pub fn label(self) -> &'static str {
         match self {
             Engine::Dense => "dense",
@@ -78,7 +82,7 @@ impl Engine {
         }
     }
 
-    /// Parse a `--engine` argument value.
+    /// Parse a `smoke_timing --engine` argument value.
     pub fn parse(s: &str) -> Option<Engine> {
         match s {
             "dense" => Some(Engine::Dense),

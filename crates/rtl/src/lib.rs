@@ -11,7 +11,10 @@
 //!   All-nominal clocks model an **E-CGRA**; mixed clocks model the
 //!   **UE-CGRA**.
 //! * [`engine`] — engine selection: the dense reference stepper vs.
-//!   the event-driven scheduler, bit-identical by contract.
+//!   the event-driven scheduler, bit-identical by contract. This crate
+//!   is the only place an engine is chosen: every other crate runs the
+//!   default (event-driven) engine, and the dense stepper serves as
+//!   the oracle in parity tests and the `smoke_timing` speed gate.
 //! * [`queue`] — the two-entry bisynchronous queues whose visibility
 //!   rule embodies the elasticity-aware suppressor.
 //! * [`faults`] — the deterministic, seeded fault injector (payload
@@ -22,7 +25,6 @@
 //!   safety) whose fatal violations stop a run with a structured
 //!   error instead of a panic.
 //! * [`scratchpad`] — the perimeter SRAM banks.
-//! * [`inelastic`] — a statically-scheduled IE-CGRA reference model.
 //! * [`config_load`] — configuration and DMA cost models.
 //!
 //! # End-to-end example
@@ -54,7 +56,6 @@ pub mod config_load;
 pub mod engine;
 pub mod fabric;
 pub mod faults;
-pub mod inelastic;
 pub mod queue;
 pub mod scratchpad;
 pub mod trace;
@@ -63,6 +64,5 @@ pub use checker::{ProtocolReport, ProtocolViolation, ViolationKind};
 pub use engine::{Engine, EngineCounters};
 pub use fabric::{Activity, Fabric, FabricConfig, FabricStop, SuppressorKind};
 pub use faults::{Fault, FaultKind, FaultPlan};
-pub use inelastic::InelasticSchedule;
 pub use scratchpad::Scratchpad;
 pub use trace::{to_vcd, TraceError};

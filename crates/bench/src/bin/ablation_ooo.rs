@@ -13,6 +13,7 @@ use uecgra_dfg::kernels;
 use uecgra_system::{programs, run_ooo, OooParams};
 
 fn main() {
+    let json = json_path();
     header("Ablation: idealized out-of-order core vs UE-CGRA (cycles per iteration)");
     println!(
         "{:<8} {:>9} {:>9} {:>10} | {:>9} {:>9}",
@@ -63,7 +64,7 @@ fn main() {
             &popt,
         ));
     }
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         reports.push(metrics_report("ablation_ooo", metrics));
         write_reports(&path, &reports);
     }

@@ -27,6 +27,7 @@ fn measure(k: &uecgra_dfg::Kernel, modes: &[VfMode], mapped: &MappedKernel) -> f
 }
 
 fn main() {
+    let json = json_path();
     header("Ablation: POpt speedup with logical vs routing-aware MeasureEnergyDelay");
     println!(
         "{:<8} {:>8} {:>10} {:>10} {:>12}",
@@ -71,7 +72,7 @@ fn main() {
         metrics.push((format!("{}_speedup_logical", k.name), e_ii / ii_logical));
         metrics.push((format!("{}_speedup_routed", k.name), e_ii / ii_routed));
     }
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         write_reports(&path, &[metrics_report("ablation_routing_aware", metrics)]);
     }
     println!("\nSeeing routed latencies lets the mapper sprint the cycles that are");

@@ -17,6 +17,7 @@ use uecgra_rtl::fabric::{Fabric, FabricConfig, SuppressorKind};
 use uecgra_rtl::Engine;
 
 fn main() {
+    let json = json_path();
     header("Ablation: suppressor flavor vs throughput (iterations completed)");
     println!(
         "{:<8} {:>12} {:>14} {:>14}",
@@ -58,7 +59,7 @@ fn main() {
         metrics.push((format!("{}_traditional_iters", k.name), traditional as f64));
         metrics.push((format!("{}_sprint_nodes", k.name), sprints as f64));
     }
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         write_reports(&path, &[metrics_report("ablation_suppressor", metrics)]);
     }
     println!("\nTraditional suppression deadlocks the POpt mappings: crossings into");

@@ -20,6 +20,7 @@ use uecgra_dfg::transform::merge;
 const N: usize = 200;
 
 fn main() {
+    let json = json_path();
     header("Ablation: one vs two dither instances on one 8x8 fabric");
 
     // Instance 0: the library kernel (src @ 16, dst @ dst_base).
@@ -74,7 +75,7 @@ fn main() {
     println!("UE-CGRA benefits are intra-kernel and compose with this replication,");
     println!("exactly the paper's Section VIII-C argument.");
 
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         let report = metrics_report(
             "ablation_unroll",
             vec![

@@ -22,51 +22,56 @@
 //!   both cycle-level engines against the host reference (slow;
 //!   off by default).
 
-use uecgra_bench::{evaluation_kernels, header, json_path, write_reports};
+use uecgra_bench::{evaluation_kernels, flag_value, header, usage_exit, write_reports};
 use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
 use uecgra_core::experiments::SEED;
 use uecgra_dse::{explore, rtl_crosscheck, DseConfig, EvalCache};
 use uecgra_probe::RunReport;
 
+const USAGE: &str = "[--json <path>] [--cache <path>] [--budget <N>] [--rtl-check]";
+
 struct Flags {
+    json: Option<String>,
     cache: Option<String>,
     budget: usize,
     rtl_check: bool,
 }
 
-fn flags() -> Flags {
+fn flags(mut argv: impl Iterator<Item = String>) -> Result<Flags, String> {
     let mut f = Flags {
+        json: None,
         cache: None,
         budget: 256,
         rtl_check: false,
     };
-    let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
         match flag.as_str() {
-            "--cache" => f.cache = Some(argv.next().expect("--cache needs a value")),
+            "--json" => f.json = Some(flag_value(&mut argv, "--json")?),
+            "--cache" => f.cache = Some(flag_value(&mut argv, "--cache")?),
             "--budget" => {
-                f.budget = argv
-                    .next()
-                    .expect("--budget needs a value")
-                    .parse()
-                    .expect("--budget must be a positive integer");
-                assert!(f.budget > 0, "--budget must be at least 1");
+                f.budget = flag_value(&mut argv, "--budget")?;
+                if f.budget == 0 {
+                    return Err("--budget must be at least 1".into());
+                }
             }
             "--rtl-check" => f.rtl_check = true,
-            // --json is read by the shared helper.
-            "--json" => {
-                argv.next();
-            }
-            other => panic!("unknown flag {other:?}"),
+            other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    f
+    Ok(f)
+}
+
+/// Exit 1 with `problem` on stderr: a bad cache file or an unwritable
+/// cache path is the user's input, not a harness failure.
+fn fail(problem: &str) -> ! {
+    eprintln!("dse_sweep: {problem}");
+    std::process::exit(1)
 }
 
 fn main() {
-    let f = flags();
+    let f = flags(std::env::args().skip(1)).unwrap_or_else(|problem| usage_exit(USAGE, &problem));
     let cache = match &f.cache {
-        Some(path) => EvalCache::load(path).expect("loading evaluation cache"),
+        Some(path) => EvalCache::load(path).unwrap_or_else(|e| fail(&e)),
         None => EvalCache::new(),
     };
     let cfg = DseConfig {
@@ -129,10 +134,13 @@ fn main() {
         cache.hit_rate() * 100.0
     );
     if let Some(path) = &f.cache {
-        cache.save(path).expect("saving evaluation cache");
-        eprintln!("wrote {} cache entries to {path}", cache.len());
+        if cache.save(path).unwrap_or_else(|e| fail(&e)) {
+            eprintln!("wrote {} cache entries to {path}", cache.len());
+        } else {
+            eprintln!("cache unchanged: {} entries in {path}", cache.len());
+        }
     }
-    if let Some(path) = json_path() {
-        write_reports(&path, &reports);
+    if let Some(path) = &f.json {
+        write_reports(path, &reports);
     }
 }

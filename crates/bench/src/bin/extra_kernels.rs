@@ -8,6 +8,7 @@ use uecgra_core::report::metrics_report;
 use uecgra_dfg::kernels::extra::extra_kernels;
 
 fn main() {
+    let json = json_path();
     header("Extension kernels: UE-CGRA vs E-CGRA (relative)");
     println!(
         "{:<9} {:>6} {:>7} | {:>9} {:>9} | {:>9} {:>9}",
@@ -40,7 +41,7 @@ fn main() {
             ],
         ));
     }
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         write_reports(&path, &reports);
     }
     println!("\ncrc32 behaves like llist (a load on the recurrence: only DVFS helps);");

@@ -14,34 +14,32 @@
 //! violation. `--json` writes the schema-v2 `fault_campaign` report.
 
 use uecgra_bench::campaign::{campaign_report, gate_passes, run_campaign, CampaignConfig};
-use uecgra_bench::{header, quick_kernels, write_reports};
+use uecgra_bench::{flag_value, header, quick_kernels, usage_exit, write_reports};
 
-fn parse_flags() -> (CampaignConfig, bool, Option<String>) {
+const USAGE: &str = "[--seed N] [--per-kernel N] [--disable-faults] [--full] [--json <path>]";
+
+fn parse_flags(
+    mut argv: impl Iterator<Item = String>,
+) -> Result<(CampaignConfig, bool, Option<String>), String> {
     let mut config = CampaignConfig::default();
     let mut full = false;
     let mut json = None;
-    let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
-        let mut value = || {
-            argv.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
         match flag.as_str() {
-            "--seed" => config.seed = value().parse().expect("--seed: not an integer"),
-            "--per-kernel" => {
-                config.per_kernel = value().parse().expect("--per-kernel: not an integer")
-            }
+            "--seed" => config.seed = flag_value(&mut argv, "--seed")?,
+            "--per-kernel" => config.per_kernel = flag_value(&mut argv, "--per-kernel")?,
             "--disable-faults" => config.faults_enabled = false,
             "--full" => full = true,
-            "--json" => json = Some(value()),
-            other => panic!("unknown flag {other}"),
+            "--json" => json = Some(flag_value(&mut argv, "--json")?),
+            other => return Err(format!("unknown flag {other:?}")),
         }
     }
-    (config, full, json)
+    Ok((config, full, json))
 }
 
 fn main() {
-    let (config, full, json) = parse_flags();
+    let (config, full, json) =
+        parse_flags(std::env::args().skip(1)).unwrap_or_else(|problem| usage_exit(USAGE, &problem));
     let kernels = if full {
         uecgra_bench::evaluation_kernels()
     } else {

@@ -27,6 +27,7 @@ fn throughput(n_or_chain: Option<usize>, depth: usize) -> f64 {
 }
 
 fn main() {
+    let json = json_path();
     header("Figure 7(b): throughput vs queue depth (iterations/cycle)");
     let depths = [1usize, 2, 3, 4, 8];
     print!("{:<12}", "benchmark");
@@ -82,7 +83,7 @@ fn main() {
         println!();
     }
     println!("(routed rings run at their placed length, still depth-insensitive)");
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         write_reports(&path, &[metrics_report("fig07b_qdepth", metrics)]);
     }
 }

@@ -7,6 +7,7 @@ use uecgra_core::report::metrics_report;
 use uecgra_dfg::kernels;
 
 fn main() {
+    let json = json_path();
     header("Figure 13: energy efficiency vs performance (relative to nominal E-CGRA)");
     let mut reports = Vec::new();
     for k in [
@@ -25,7 +26,7 @@ fn main() {
         reports.extend(kernel_run_reports(&runs));
         reports.push(metrics_report(format!("fig13/{}", k.name), metrics));
     }
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         write_reports(&path, &reports);
     }
     println!("\nPaper: whole-fabric scaling trades one axis for the other; fine-grain");

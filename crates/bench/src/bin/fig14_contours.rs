@@ -48,6 +48,7 @@ fn print_contour(run: &CgraRun, label: &'static str) {
 }
 
 fn main() {
+    let json = json_path();
     header("Figure 14: PE energy contours (llist, dither)");
     // Both kernels × all three policies fan out across worker threads;
     // rendering stays on the main thread in input order, so the output
@@ -63,7 +64,7 @@ fn main() {
         print_contour(&runs.popt, "UE-CGRA POpt");
         print_contour(&runs.eopt, "UE-CGRA EOpt");
     }
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         let mut reports = Vec::new();
         for runs in &all {
             reports.extend(kernel_run_reports(runs));

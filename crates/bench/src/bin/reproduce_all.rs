@@ -52,6 +52,7 @@ const BINS: [&str; 20] = [
 ];
 
 fn main() {
+    let out_path = json_path().unwrap_or_else(|| "report.json".into());
     let self_path = std::env::current_exe().expect("self path");
     let scratch = std::env::temp_dir().join(format!("uecgra-reports-{}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("create report scratch dir");
@@ -96,7 +97,6 @@ fn main() {
     }
     let _ = std::fs::remove_dir_all(&scratch);
 
-    let out_path = json_path().unwrap_or_else(|| "report.json".into());
     std::fs::write(&out_path, RunReport::render_all(&all_reports))
         .unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
     println!(

@@ -42,6 +42,7 @@
 //! leg's thread count (default 8).
 
 use std::time::Instant;
+use uecgra_bench::{flag_value, usage_exit};
 use uecgra_compiler::bitstream::Bitstream;
 use uecgra_compiler::mapping::{ArrayShape, MappedKernel};
 use uecgra_compiler::power_map::{power_map, Objective};
@@ -262,6 +263,13 @@ fn dse_bench(bench_out: Option<&str>) {
     println!("\ndse bench OK");
 }
 
+fn usage(problem: &str) -> ! {
+    usage_exit(
+        "[quick|full|dse] [--engine dense|event|both] [--bench-out <path>]",
+        problem,
+    )
+}
+
 fn main() {
     let mut mode = "quick".to_string();
     let mut engines: Vec<Engine> = Engine::ALL.to_vec();
@@ -271,16 +279,16 @@ fn main() {
         match arg.as_str() {
             "quick" | "full" | "dse" => mode = arg,
             "--engine" => {
-                let v = argv.next().expect("--engine needs a value");
+                let v: String = flag_value(&mut argv, "--engine").unwrap_or_else(|p| usage(&p));
                 if v != "both" {
                     engines = vec![Engine::parse(&v)
-                        .unwrap_or_else(|| panic!("unknown engine {v} (use dense|event|both)"))];
+                        .unwrap_or_else(|| usage(&format!("--engine: unknown engine {v:?}")))];
                 }
             }
-            "--bench-out" => bench_out = Some(argv.next().expect("--bench-out needs a value")),
-            other => {
-                panic!("unknown argument {other:?} (expected quick|full|dse|--engine|--bench-out)")
+            "--bench-out" => {
+                bench_out = Some(flag_value(&mut argv, "--bench-out").unwrap_or_else(|p| usage(&p)))
             }
+            other => usage(&format!("unknown argument {other:?}")),
         }
     }
     if mode == "dse" {

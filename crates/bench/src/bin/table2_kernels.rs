@@ -6,6 +6,7 @@ use uecgra_core::experiments::{run_all_policies_many, KernelRuns, SEED};
 use uecgra_core::report::metrics_report;
 
 fn main() {
+    let json = json_path();
     header("Table II: UE-CGRA vs E-CGRA (iterations/s and iterations/J, relative)");
     println!(
         "{:<8} | {:>9} {:>9} | {:>9} {:>9} |  paper EOpt eff / POpt perf",
@@ -31,7 +32,7 @@ fn main() {
             r2(row.popt_eff)
         );
     }
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         let mut reports: Vec<_> = all.iter().flat_map(kernel_run_reports).collect();
         for row in &rows {
             reports.push(metrics_report(

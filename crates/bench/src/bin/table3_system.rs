@@ -7,6 +7,7 @@ use uecgra_core::pipeline::Policy;
 use uecgra_core::report::metrics_report;
 
 fn main() {
+    let json = json_path();
     header("Table III: system-level results relative to the in-order RV32IM core");
     println!(
         "{:<8} {:>5} {:>5} {:>9} {:>6} | {:>6} {:>6} | {:>6} {:>6} | {:>6} {:>6}",
@@ -56,7 +57,7 @@ fn main() {
     println!("\nPaper bands: E-CGRA perf 0.94-2.31x, UE POpt perf 1.35-3.38x,");
     println!("UE EOpt efficiency 0.80-1.53x relative to the core.");
 
-    if let Some(path) = json_path() {
+    if let Some(path) = json {
         let mut reports: Vec<_> = all.iter().flat_map(kernel_run_reports).collect();
         for row in &rows {
             let mut metrics = vec![

@@ -2,7 +2,8 @@
 //!
 //! Each `src/bin/*` binary regenerates one table or figure of the
 //! paper (see `DESIGN.md`'s experiment index); this library provides
-//! the kernels at evaluation scale and table formatting.
+//! the kernels at evaluation scale, table formatting, and the shared
+//! command-line handling (`json_path`, `flag_value`, `usage_exit`).
 
 #![warn(missing_docs)]
 
@@ -46,19 +47,55 @@ pub fn r2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// The `--json <path>` flag shared by every reproduction binary.
+/// The `--json <path>` flag shared by every reproduction binary, and
+/// the only argument those binaries take.
 ///
 /// Returns the requested report path, or `None` when the binary should
-/// only print its table. Other argv entries are left for the binary
-/// (only `smoke_timing` takes any).
+/// only print its table. Any other argument, or `--json` without a
+/// value, is a usage error: see [`usage_exit`]. Binaries call this
+/// before doing any work, so a mistyped flag costs nothing.
 pub fn json_path() -> Option<String> {
-    let mut argv = std::env::args().skip(1);
-    while let Some(flag) = argv.next() {
-        if flag == "--json" {
-            return Some(argv.next().expect("--json needs a value"));
-        }
+    parse_json_flag(std::env::args().skip(1))
+        .unwrap_or_else(|problem| usage_exit("[--json <path>]", &problem))
+}
+
+fn parse_json_flag(mut argv: impl Iterator<Item = String>) -> Result<Option<String>, String> {
+    let path = match argv.next() {
+        None => return Ok(None),
+        Some(flag) if flag == "--json" => flag_value(&mut argv, "--json")?,
+        Some(other) => return Err(format!("unknown argument {other:?}")),
+    };
+    match argv.next() {
+        None => Ok(Some(path)),
+        Some(extra) => Err(format!("unexpected argument {extra:?}")),
     }
-    None
+}
+
+/// The value following `flag` on the command line, parsed; a usage
+/// problem when it is missing or does not parse.
+///
+/// # Errors
+///
+/// Returns the problem, for [`usage_exit`].
+pub fn flag_value<T: std::str::FromStr>(
+    argv: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    let value = argv.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: invalid value {value:?}"))
+}
+
+/// Report a command-line problem with one usage line on stderr and
+/// exit with status 2. `synopsis` lists the binary's flags.
+pub fn usage_exit(synopsis: &str, problem: &str) -> ! {
+    let argv0 = std::env::args().next().unwrap_or_default();
+    let bin = std::path::Path::new(&argv0)
+        .file_name()
+        .map_or(argv0.clone(), |name| name.to_string_lossy().into_owned());
+    eprintln!("{bin}: {problem} (usage: {bin} {synopsis})");
+    std::process::exit(2)
 }
 
 /// Write a report document (a JSON array of [`RunReport`]s) to `path`
@@ -92,6 +129,37 @@ pub fn kernel_run_reports(runs: &KernelRuns) -> Vec<RunReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(list: &[&str]) -> impl Iterator<Item = String> {
+        list.iter()
+            .map(|a| a.to_string())
+            .collect::<Vec<_>>()
+            .into_iter()
+    }
+
+    #[test]
+    fn the_json_flag_is_the_only_argument() {
+        assert_eq!(parse_json_flag(args(&[])), Ok(None));
+        assert_eq!(
+            parse_json_flag(args(&["--json", "r.json"])),
+            Ok(Some("r.json".into()))
+        );
+        for bad in [
+            &["--json"][..],
+            &["--jsno", "r.json"],
+            &["r.json"],
+            &["--json", "r.json", "--json", "s.json"],
+        ] {
+            assert!(parse_json_flag(args(bad)).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn flag_values_must_be_present_and_parse() {
+        assert_eq!(flag_value::<u64>(&mut args(&["7"]), "--n"), Ok(7));
+        assert!(flag_value::<u64>(&mut args(&[]), "--n").is_err());
+        assert!(flag_value::<u64>(&mut args(&["x"]), "--n").is_err());
+    }
 
     #[test]
     fn kernels_are_available_at_both_scales() {

@@ -200,8 +200,11 @@ fn dse_command(
     );
 
     if let Some(path) = &args.cache {
-        cache.save(path)?;
-        eprintln!("wrote {} cache entries to {path}", cache.len());
+        if cache.save(path)? {
+            eprintln!("wrote {} cache entries to {path}", cache.len());
+        } else {
+            eprintln!("cache unchanged: {} entries in {path}", cache.len());
+        }
     }
     if let Some(path) = &args.json {
         let report = RunReport {

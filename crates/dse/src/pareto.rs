@@ -6,6 +6,7 @@
 //! first two implies dominance in EDP, but comparing all three keeps
 //! the definition aligned with the report schema and costs nothing.)
 
+use std::cmp::Ordering;
 use uecgra_clock::VfMode;
 use uecgra_model::EnergyDelay;
 
@@ -41,16 +42,26 @@ impl DsePoint {
     }
 }
 
+/// The letter [`modes_string`] renders a mode as.
+pub(crate) fn mode_letter(mode: VfMode) -> u8 {
+    match mode {
+        VfMode::Rest => b'R',
+        VfMode::Nominal => b'N',
+        VfMode::Sprint => b'S',
+    }
+}
+
 /// Render a mode assignment as one letter per node.
 pub fn modes_string(modes: &[VfMode]) -> String {
-    modes
-        .iter()
-        .map(|m| match m {
-            VfMode::Rest => 'R',
-            VfMode::Nominal => 'N',
-            VfMode::Sprint => 'S',
-        })
-        .collect()
+    modes.iter().map(|&m| char::from(mode_letter(m))).collect()
+}
+
+/// Compare two assignments as their [`modes_string`]s compare, without
+/// rendering them.
+pub(crate) fn modes_cmp(a: &[VfMode], b: &[VfMode]) -> Ordering {
+    a.iter()
+        .map(|&m| mode_letter(m))
+        .cmp(b.iter().map(|&m| mode_letter(m)))
 }
 
 /// Parse a [`modes_string`] rendering back into modes.
@@ -91,7 +102,7 @@ pub fn pareto_frontier(points: &[DsePoint]) -> Vec<DsePoint> {
             .iter_mut()
             .find(|q| q.delay() == p.delay() && q.energy() == p.energy())
         {
-            if p.modes_string() < existing.modes_string() {
+            if modes_cmp(&p.modes, &existing.modes).is_lt() {
                 *existing = p.clone();
             }
             continue;
@@ -103,7 +114,7 @@ pub fn pareto_frontier(points: &[DsePoint]) -> Vec<DsePoint> {
             .partial_cmp(&b.delay())
             .expect("finite delay")
             .then(a.energy().partial_cmp(&b.energy()).expect("finite energy"))
-            .then_with(|| a.modes_string().cmp(&b.modes_string()))
+            .then_with(|| modes_cmp(&a.modes, &b.modes))
     });
     front
 }
@@ -159,5 +170,18 @@ mod tests {
         assert_eq!(modes_string(&modes), "RNS");
         assert_eq!(parse_modes("RNS"), Some(modes));
         assert_eq!(parse_modes("RNX"), None);
+    }
+
+    #[test]
+    fn modes_cmp_orders_like_the_rendered_strings() {
+        let all: Vec<Vec<VfMode>> = ["", "N", "R", "S", "NN", "NR", "RN", "RNS", "SRN", "SS"]
+            .iter()
+            .map(|s| parse_modes(s).unwrap())
+            .collect();
+        for a in &all {
+            for b in &all {
+                assert_eq!(modes_cmp(a, b), modes_string(a).cmp(&modes_string(b)));
+            }
+        }
     }
 }

@@ -4,8 +4,13 @@
 #
 # 1. **Cold/warm byte-identity** — `uecgra dse --json` against a
 #    persistent evaluation cache must produce byte-identical reports
-#    on a cold (empty) and a warm (fully populated) cache, and the
-#    cache file itself must be byte-stable across a rewrite.
+#    on a cold (empty) and a warm (fully populated) cache. The warm
+#    run has nothing new to save, so it must leave the cache file's
+#    bytes and mtime untouched. With one entry cut from the file, the
+#    next run re-measures it and really rewrites the file, and the
+#    rewrite must reproduce the cold bytes exactly. (A `touch` alone
+#    forces no rewrite: the stamp a save compares against is taken
+#    when the file is loaded.)
 # 2. **Memoization win** — the warm Table II sweep must cost at most
 #    UECGRA_SMOKE_MAX_WARM_RATIO (default 0.2) of the cold one, via
 #    the smoke harness's dse leg (which also enforces cold/warm value
@@ -46,9 +51,25 @@ EOF
 ./target/release/uecgra dse "${SCRATCH}/accumulate.loop" \
     --cache "${SCRATCH}/cache.json" --json "${SCRATCH}/cold.json"
 cp "${SCRATCH}/cache.json" "${SCRATCH}/cache-cold.json"
+COLD_MTIME="$(stat -c %y "${SCRATCH}/cache.json")"
 ./target/release/uecgra dse "${SCRATCH}/accumulate.loop" \
     --cache "${SCRATCH}/cache.json" --json "${SCRATCH}/warm.json"
 cmp "${SCRATCH}/cold.json" "${SCRATCH}/warm.json"
+cmp "${SCRATCH}/cache.json" "${SCRATCH}/cache-cold.json"
+if [ "$(stat -c %y "${SCRATCH}/cache.json")" != "${COLD_MTIME}" ]; then
+    echo "ci-dse: the warm run rewrote an unchanged cache file" >&2
+    exit 1
+fi
+echo "== CLI: a cache missing one entry is rewritten, byte-identical"
+# Lines 4-7 of the canonical rendering are the first entry.
+sed -i '4,7d' "${SCRATCH}/cache.json"
+./target/release/uecgra dse "${SCRATCH}/accumulate.loop" \
+    --cache "${SCRATCH}/cache.json" 2> "${SCRATCH}/rewrite.err" > /dev/null
+grep -q '^wrote .* cache entries' "${SCRATCH}/rewrite.err" || {
+    echo "ci-dse: a cache that gained an entry was not rewritten" >&2
+    cat "${SCRATCH}/rewrite.err" >&2
+    exit 1
+}
 cmp "${SCRATCH}/cache.json" "${SCRATCH}/cache-cold.json"
 ./target/release/uecgra check-report "${SCRATCH}/cold.json"
 
